@@ -23,15 +23,14 @@ from .enumeration import (
     shapes_up_to,
     verify_bijection,
 )
-from .errors import SptabError, TaquinInvariantError
+from .errors import ParseError, SptabError, TaquinInvariantError
 from .letters import code as letter_code, from_code, letter_from_json, letter_to_json
-from .plucker import contraction_matrix, exact_rank
+from .plucker import contraction_matrix, exact_rank, kernel_dimension
 from .tableaux import (
     Tableau,
     dble_tableau,
     dumps,
     first_grid_violation,
-    is_semistandard_sl,
     is_semistandard_sp,
     nqs_rows,
     render,
@@ -97,41 +96,26 @@ def cmd_check(args) -> int:
         return 0
     t = tableau_from_json(data)
     _check_rank(args, t)
-    violation = None
-    if args.predicate == "admissible":
-        result = True
-        for j, col in enumerate(t.columns, start=1):
-            if not is_admissible(col):
-                result, violation = False, {"kind": "column", "col": j}
-                break
-    elif args.predicate == "ss-sp":
-        result = is_semistandard_sp(t)
-        if not result:
-            for j, col in enumerate(t.columns, start=1):
-                if not is_admissible(col):
-                    violation = {"kind": "column", "col": j}
-                    break
-            else:
-                kind, i, j = first_grid_violation(dble_tableau(t))
-                violation = {"kind": kind, "row": i, "col": j}
-    elif args.predicate == "qs-sp":
-        rows = nqs_rows(dble_tableau(t))
-        result = not rows
-        if rows:
-            violation = {"kind": "nqs-row", "row": rows[0]}
-    elif args.predicate == "ss-sl":
-        result = is_semistandard_sl(t)
-        if not result:
-            kind, i, j = first_grid_violation(t.grid())
-            violation = {"kind": kind, "row": i, "col": j}
-    elif args.predicate == "qs-sl":
-        rows = nqs_rows(t.grid())
-        result = not rows
-        if rows:
-            violation = {"kind": "nqs-row", "row": rows[0]}
-    else:
-        raise SptabError(f"unknown predicate {args.predicate}")
-    _emit({"result": result, "violation": violation})
+    pred, violation = args.predicate, None
+    if pred in ("admissible", "ss-sp", "qs-sp") and t.kind != "sp":
+        raise SptabError("expects a symplectic tableau")
+    if pred == "ss-sl" and t.kind != "sl":
+        raise SptabError("expects a plain-letter tableau")
+    if pred in ("admissible", "ss-sp"):
+        bad = next((j for j, col in enumerate(t.columns, start=1) if not is_admissible(col)), None)
+        if bad is not None:
+            violation = {"kind": "column", "col": bad}
+    if pred != "admissible" and violation is None:
+        grid = dble_tableau(t) if pred.endswith("-sp") else t.grid()
+        if pred.startswith("ss-"):
+            cell = first_grid_violation(grid)
+            if cell is not None:
+                violation = dict(zip(("kind", "row", "col"), cell))
+        else:
+            rows = nqs_rows(grid)
+            if rows:
+                violation = {"kind": "nqs-row", "row": rows[0]}
+    _emit({"result": violation is None, "violation": violation})
     return 0
 
 
@@ -182,14 +166,7 @@ def cmd_phi(args) -> int:
         raise SptabError("input tableau is not semi-standard")
     record: list | None = [] if args.trace else None
     mu, q = phi(t, record)
-    out = {"shape": list(mu), "result": tableau_to_json(q)}
-    if args.trace:
-        out["trace"] = trace_to_json(record)
-    if args.format == "ascii":
-        print(render(q))
-    else:
-        _emit(out)
-    return 0
+    return _emit_result(args, {"shape": list(mu)}, q, record)
 
 
 def cmd_psi(args) -> int:
@@ -197,37 +174,53 @@ def cmd_psi(args) -> int:
     _check_rank(args, t)
     lam = _parse_shape(args.target_shape)
     record: list | None = [] if args.trace else None
-    result = psi(lam, t.shape, t, record)
-    out = {"result": tableau_to_json(result)}
-    if args.trace:
-        out["trace"] = trace_to_json(record)
+    return _emit_result(args, {}, psi(lam, t.shape, t, record), record)
+
+
+def _emit_result(args, out: dict, result: Tableau, record: list | None) -> int:
+    """Print the result of phi or psi, with the slide trace when recorded."""
     if args.format == "ascii":
         print(render(result))
-    else:
-        _emit(out)
+        return 0
+    out["result"] = tableau_to_json(result)
+    if record is not None:
+        out["trace"] = trace_to_json(record)
+    _emit(out)
     return 0
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def cmd_sjdt(args) -> int:
     data = _read_input(args)
     if not isinstance(data, dict) or "columns" not in data:
         raise SptabError("sjdt expects a skew tableau object with columns and inner")
-    n = int(data.get("n", args.n))
+    try:
+        n = int(data.get("n", args.n))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"unreadable rank {data['n']!r}") from exc
     if n != args.n:
         raise SptabError(f"--n {args.n} does not match the input rank {n}")
-    inner = data.get("inner", [0] * len(data["columns"]))
+    raw_cols = data["columns"]
+    if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
+        raise ParseError("sjdt columns must be a list of lists")
+    inner = data.get("inner", [0] * len(raw_cols))
+    if not isinstance(inner, list) or len(inner) != len(raw_cols) or not all(_is_int(v) for v in inner):
+        raise ParseError(f"sjdt inner must be a list of {len(raw_cols)} integers, one per column")
     try:
         row, col = (int(p) for p in args.star.split(","))
     except ValueError as exc:
         raise SptabError(f"unreadable star {args.star!r}") from exc
     cols = []
-    for j, raw in enumerate(data["columns"], start=1):
+    for j, raw in enumerate(raw_cols, start=1):
         letters = [letter_from_json(v) for v in raw if v is not None]
         A = frozenset(l.magnitude for l in letters if not l.barred)
         D = frozenset(l.magnitude for l in letters if l.barred)
         if len(A) + len(D) != len(letters):
             raise SptabError(f"column {j}: repeated letters")
-        inn = int(inner[j - 1])
+        inn = inner[j - 1]
         if j == col:
             if row != inn:
                 raise SptabError(f"star row {row} must be the bottom vacated cell (inner={inn})")
@@ -265,9 +258,7 @@ def cmd_verify(args) -> int:
     if args.what == "dims":
         results = []
         for k in range(2, min(args.max_k, args.n) + 1):
-            mat = contraction_matrix(args.n, k)
-            rank = exact_rank(mat)
-            kernel = comb(2 * args.n, k) - rank
+            kernel = kernel_dimension(args.n, k)
             formula = comb(2 * args.n, k) - comb(2 * args.n, k - 2)
             adm = len(enum_admissible_columns(args.n, k))
             results.append(

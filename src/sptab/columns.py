@@ -44,6 +44,12 @@ def _check_subsets(A: frozenset[int], D: frozenset[int], lo: int, hi: int) -> No
                 raise ColumnError(f"{name} contains {x}, outside [{lo}, {hi}]")
 
 
+def _codes(n: int, A, D) -> tuple[int, ...]:
+    """Letter codes of the column (A, D), top-down (strictly increasing)."""
+    bar = 2 * n + 1
+    return tuple(sorted(A) + sorted(bar - d for d in D))
+
+
 @dataclass(frozen=True)
 class SymplecticColumn:
     """Column content (A, D) for rank n; magnitude 0 only inside slides."""
@@ -65,18 +71,13 @@ class SymplecticColumn:
     def height(self) -> int:
         return len(self.A) + len(self.D)
 
-    @property
-    def I(self) -> frozenset[int]:
-        return self.A & self.D
-
     def is_standard(self) -> bool:
         """True when no extended letter 0 appears and the height fits the rank."""
         return 0 not in self.A and 0 not in self.D and self.height <= self.n
 
     def codes(self) -> tuple[int, ...]:
         """Visible letters as codes, top-down (strictly increasing)."""
-        bar = 2 * self.n + 1
-        return tuple(sorted(self.A) + sorted(bar - d for d in self.D))
+        return _codes(self.n, self.A, self.D)
 
     def __str__(self) -> str:
         from .letters import format_letter, from_code
@@ -120,7 +121,6 @@ def _largest_dominated(J: list[int], pool: list[int]) -> list[int] | None:
     return out
 
 
-@lru_cache(maxsize=None)
 def _dble_sets_window(
     A: frozenset[int], D: frozenset[int], lo: int, hi: int
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]] | None:
@@ -134,23 +134,11 @@ def _dble_sets_window(
     return frozenset(I), Jf, (A - frozenset(I)) | Jf, (D - frozenset(I)) | Jf
 
 
-def dble_sets(
-    col: SymplecticColumn,
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
-    """(I, J, B, C) of an admissible column; raises if inadmissible."""
-    res = _dble_sets_window(col.A, col.D, 0, col.n)
-    if res is None:
-        raise InadmissibleColumnError(f"column {col} is not admissible for rank {col.n}")
-    return res
-
-
-def is_admissible(col: SymplecticColumn) -> bool:
-    """Staircase condition: the witness set J exists."""
-    return _dble_sets_window(col.A, col.D, 0, col.n) is not None
-
-
 @dataclass(frozen=True)
 class DoubledColumn:
+    """The double of (A, D): the witness sets, and the left column A over C'
+    and the right column B over D' as letter codes."""
+
     n: int
     A: frozenset[int]
     D: frozenset[int]
@@ -158,19 +146,57 @@ class DoubledColumn:
     J: frozenset[int]
     B: frozenset[int]
     C: frozenset[int]
+    left: tuple[int, ...]
+    right: tuple[int, ...]
 
     def left_codes(self) -> tuple[int, ...]:
         """The column A over C', top-down."""
-        return SymplecticColumn(self.n, self.A, self.C).codes()
+        return self.left
 
     def right_codes(self) -> tuple[int, ...]:
         """The column B over D', top-down."""
-        return SymplecticColumn(self.n, self.B, self.D).codes()
+        return self.right
+
+
+@lru_cache(maxsize=None)
+def _double(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn | None:
+    """The double of the column (A, D) at rank n, or None when inadmissible.
+
+    The one place a double is computed: doubling, the tableau double, the
+    skew columns of the slides and enumeration all read this memo.  The
+    (A, C) and (B, D) columns need no check of their own: |C| = |D| and
+    J lies in [1, n], so they obey the rules (A, D) was built under.
+    """
+    sets = _dble_sets_window(A, D, 0, n)
+    if sets is None:
+        return None
+    I, J, B, C = sets
+    return DoubledColumn(n, A, D, I, J, B, C, _codes(n, A, C), _codes(n, B, D))
+
+
+def double_of(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn:
+    """The memoised double of (A, D); raises if the column is inadmissible."""
+    d = _double(n, A, D)
+    if d is None:
+        raise InadmissibleColumnError(f"column {SymplecticColumn(n, A, D)} is not admissible for rank {n}")
+    return d
+
+
+def dble_sets(
+    col: SymplecticColumn,
+) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
+    """(I, J, B, C) of an admissible column; raises if inadmissible."""
+    d = double_of(col.n, col.A, col.D)
+    return d.I, d.J, d.B, d.C
+
+
+def is_admissible(col: SymplecticColumn) -> bool:
+    """Staircase condition: the witness set J exists."""
+    return _double(col.n, col.A, col.D) is not None
 
 
 def dble(col: SymplecticColumn) -> DoubledColumn:
-    I, J, B, C = dble_sets(col)
-    return DoubledColumn(col.n, col.A, col.D, I, J, B, C)
+    return double_of(col.n, col.A, col.D)
 
 
 def g_from(B, C, n: int) -> SymplecticColumn:

@@ -58,32 +58,35 @@ def _columns_by_height_sl(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), k))
 
 
-def _row_compatible_sp(left: SymplecticColumn, right: SymplecticColumn) -> bool:
-    lr = dble(left).right_codes()
-    rl = dble(right).left_codes()
-    return all(lr[i] <= rl[i] for i in range(len(rl)))
-
-
-def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
-    """All semi-standard symplectic tableaux of the given shape."""
-    heights = tuple(heights)
-    check_shape(heights, n)
-    if not heights:
-        return [Tableau(n, "sp", ())]
+def _enum(n: int, heights: tuple[int, ...], kind: str, candidates, compatible) -> list[Tableau]:
+    """Tableaux built column by column from the candidates of each height,
+    each column compatible with its left neighbour."""
     out: list[Tableau] = []
 
-    def rec(j: int, cols: list[SymplecticColumn]) -> None:
+    def rec(j: int, cols: list) -> None:
         if j == len(heights):
-            out.append(Tableau(n, "sp", tuple(cols)))
+            out.append(Tableau(n, kind, tuple(cols)))
             return
-        for col in enum_admissible_columns(n, heights[j]):
-            if not cols or _row_compatible_sp(cols[-1], col):
+        for col in candidates(n, heights[j]):
+            if not cols or compatible(cols[-1], col):
                 cols.append(col)
                 rec(j + 1, cols)
                 cols.pop()
 
     rec(0, [])
     return out
+
+
+def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
+    """All semi-standard symplectic tableaux of the given shape."""
+    heights = tuple(heights)
+    check_shape(heights, n)
+
+    def compatible(a: SymplecticColumn, b: SymplecticColumn) -> bool:
+        # row by row, the right column of a's double is at most the left column of b's
+        return all(x <= y for x, y in zip(dble(a).right, dble(b).left))
+
+    return _enum(n, heights, "sp", enum_admissible_columns, compatible)
 
 
 def enum_qs_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
@@ -94,22 +97,7 @@ def enum_ss_sl(n: int, heights: tuple[int, ...]) -> list[Tableau]:
     """All semi-standard plain-letter tableaux of the given shape."""
     heights = tuple(heights)
     check_shape(heights, n - 1)
-    if not heights:
-        return [Tableau(n, "sl", ())]
-    out: list[Tableau] = []
-
-    def rec(j: int, cols: list[tuple[int, ...]]) -> None:
-        if j == len(heights):
-            out.append(Tableau.sl(n, tuple(cols)))
-            return
-        for col in _columns_by_height_sl(n, heights[j]):
-            if not cols or all(cols[-1][i] <= col[i] for i in range(len(col))):
-                cols.append(col)
-                rec(j + 1, cols)
-                cols.pop()
-
-    rec(0, [])
-    return out
+    return _enum(n, heights, "sl", _columns_by_height_sl, lambda a, b: all(x <= y for x, y in zip(a, b)))
 
 
 def enum_qs_sl(n: int, heights: tuple[int, ...]) -> list[Tableau]:

@@ -50,7 +50,6 @@ __all__ = [
     "parse",
     "pushable_rows",
     "render",
-    "render_cells",
     "render_grid",
     "row_inequality_holds",
     "shape_contains",
@@ -185,9 +184,8 @@ class Tableau:
         if self.kind not in ("sl", "sp"):
             raise TableauError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "columns", tuple(self.columns))
-        hmax = self.n - 1 if self.kind == "sl" else self.n
         try:
-            check_shape(self.heights, hmax)
+            check_shape(self.heights, self.hmax)
         except ShapeError as exc:
             raise TableauError(str(exc)) from exc
         if self.kind == "sl":
@@ -235,12 +233,16 @@ class Tableau:
         return tuple(c.height for c in self.columns)
 
     @property
+    def hmax(self) -> int:
+        """The tallest column allowed: n-1 for plain letters, n for symplectic."""
+        return self.n - 1 if self.kind == "sl" else self.n
+
+    @property
     def shape(self) -> tuple[int, ...]:
         return self.heights
 
     def form(self) -> tuple[int, ...]:
-        hmax = self.n - 1 if self.kind == "sl" else self.n
-        return shape_to_multiplicities(self.heights, hmax)
+        return shape_to_multiplicities(self.heights, self.hmax)
 
     def grid(self) -> Grid:
         """Letter codes column by column (for sp, the visible letters)."""
@@ -259,8 +261,7 @@ def dble_tableau(t: Tableau) -> Grid:
     out: list[tuple[int, ...]] = []
     for col in t.columns:
         d = dble(col)
-        out.append(d.left_codes())
-        out.append(d.right_codes())
+        out += (d.left, d.right)
     return tuple(out)
 
 
@@ -377,20 +378,6 @@ def nqs_with_height(t: Tableau, s: int) -> bool:
 CELL_WIDTH = 3
 
 
-def render_cells(columns: list[list[str]]) -> str:
-    """Row-wise layout of pre-formatted cell texts ("" for a vacated cell)."""
-    if not columns:
-        return ""
-    height = max(len(c) for c in columns)
-    lines = []
-    for i in range(height):
-        cells = [c[i] if i < len(c) else None for c in columns]
-        while cells and cells[-1] is None:
-            cells.pop()
-        lines.append("".join(f"{t if t is not None else '':<{CELL_WIDTH}}" for t in cells).rstrip())
-    return "\n".join(lines)
-
-
 def render_grid(grid: Grid, n: int) -> str:
     """Row-wise ASCII for a grid of rank-n letter codes, 3-character fields."""
     if not grid:
@@ -432,6 +419,11 @@ def _from_rows(rows: list[list[Letter]], n: int, kind: str) -> Tableau:
     for i, row in enumerate(rows):
         if len(row) > len(rows[0]):
             raise ParseError(f"row {i + 1} is longer than row 1")
+    return _from_letters(columns, n, kind)
+
+
+def _from_letters(columns: list[list[Letter]], n: int, kind: str) -> Tableau:
+    """The tableau with these letter columns; a malformed one is a ParseError."""
     try:
         if kind == "sl":
             for j, col in enumerate(columns):
@@ -461,20 +453,15 @@ def tableau_from_json(data: object) -> Tableau:
         raise ParseError(f"tableau JSON missing fields: {exc}") from exc
     if kind not in ("sl", "sp"):
         raise ParseError(f"unknown kind {kind!r}")
+    if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
+        raise ParseError("tableau JSON columns must be a list of lists")
     cols = []
     for j, raw in enumerate(raw_cols):
         try:
             cols.append([letter_from_json(v) for v in raw])
         except Exception as exc:
             raise ParseError(f"column {j + 1}: {exc}") from exc
-    try:
-        if kind == "sl":
-            if any(l.barred for col in cols for l in col):
-                raise ParseError("barred letter in a plain-letter tableau")
-            return Tableau.sl(n, tuple(tuple(l.magnitude for l in col) for col in cols))
-        return Tableau.sp(n, tuple(tuple(letter_code(l, n) for l in col) for col in cols))
-    except (TableauError, ShapeError) as exc:
-        raise ParseError(str(exc)) from exc
+    return _from_letters(cols, n, kind)
 
 
 def dumps(obj: object) -> str:

@@ -1,12 +1,24 @@
-"""Classical (Schuetzenberger) jeu de taquin on pointed skew tableaux,
-the 180-degree reversal conjugating it to its inverse, and the reduction
-of a semi-standard tableau to a quasi-standard one.
+"""Jeu de taquin on pointed skew tableaux, written once for both alphabets,
+and its classical (Schuetzenberger) instance: the slide, the 180-degree
+reversal conjugating it to its inverse, and the reduction of a semi-standard
+tableau to a quasi-standard one.
 
 A pointed skew tableau keeps the star as an actual cell: forward slides
 start with the star at an inner corner of the vacated region and end with
 it resting at an outer corner; shedding then removes the cell.  Columns may
 have height 0 after a shed -- the bounding rectangle of an inverse slide
 must survive until the final reversal.
+
+The engine -- skew states, the slide step, shedding, the reversal, the
+reduction pass and the star-filling inverse -- only sees a column model.
+A model lays its filled cells out as one or two top-down code sequences
+(`grid`): the slide compares the right letter of the cell below the star
+with the left letter of the cell to its right, and the semi-standardness
+check reads those sequences as columns.  The model also supplies the
+horizontal move (`pull`) and the letter reversal (`_reversed`).  The
+classical model SlSkewColumn is one plain letter column, moved by a swap
+and reversed by t -> n+1-t; the symplectic model SpSkewColumn (taquin_sp)
+is a column double, moved by surgery and reversed by swapping A and D.
 """
 
 from __future__ import annotations
@@ -17,6 +29,9 @@ from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
 from .tableaux import (
     Tableau,
+    is_quasistandard_sl,
+    is_semistandard_sl,
+    nqs_grid,
     nqs_rows,
     shape_contains,
     skew_cells,
@@ -28,31 +43,27 @@ __all__ = [
     "SlSkewTableau",
     "expand_sl",
     "is_semistandard_skew_sl",
-    "jdt_full",
     "jdt_inverse",
     "jdt_step",
     "jdt_to_rest",
     "reduce_sl",
-    "render_state",
     "shed",
     "sigma_sl",
     "slide_pass_sl",
-    "state_from_tableau",
-    "state_to_json",
-    "state_to_tableau",
-    "trace_to_json",
 ]
 
 
-@dataclass(frozen=True)
-class SlSkewColumn:
-    """inner vacated cells on top, then letters in row order, star optional."""
+# ---------------------------------------------------------------------------
+# the engine: skew columns and skew states
 
-    inner: int
-    letters: tuple[int, ...]
-    star_row: int | None = None
 
-    def __post_init__(self) -> None:
+class _SkewColumn:
+    """`inner` vacated cells on top, then the `size` filled cells in row
+    order with the star cell (at `star_row`, if any) among them."""
+
+    has_zero = False
+
+    def _check_frame(self) -> None:
         if self.inner < 0:
             raise TableauError("negative inner height")
         if self.star_row is not None and not self.inner < self.star_row <= self.height:
@@ -60,56 +71,37 @@ class SlSkewColumn:
 
     @property
     def height(self) -> int:
-        return self.inner + len(self.letters) + (self.star_row is not None)
+        return self.inner + self.size + (self.star_row is not None)
 
-    def letter_at(self, row: int) -> int | None:
-        """Letter at a 1-based row; None for vacated or star cells."""
-        if row <= self.inner or row > self.height or row == self.star_row:
-            return None
-        idx = row - self.inner - 1
-        if self.star_row is not None and row > self.star_row:
-            idx -= 1
-        return self.letters[idx]
-
-    def _letter_index(self, row: int) -> int:
-        idx = row - self.inner - 1
-        if self.star_row is not None and row > self.star_row:
-            idx -= 1
-        return idx
-
-    def remove_star(self) -> "SlSkewColumn":
-        return replace(self, star_row=None)
-
-    def put_letter(self, row: int, value: int) -> "SlSkewColumn":
-        """Replace the star cell at `row` by a letter."""
-        if row != self.star_row:
-            raise TableauError("can only put a letter onto the star cell")
-        idx = row - self.inner - 1
-        return SlSkewColumn(self.inner, self.letters[:idx] + (value,) + self.letters[idx:], None)
-
-    def take_letter(self, row: int) -> tuple[int, "SlSkewColumn"]:
-        """Remove the letter at `row`, leaving the star there."""
+    def rows(self, codes: tuple[int, ...]) -> list[int | None]:
+        """Codes of the filled cells placed by row (index 0 = row 1), None
+        at vacated and star cells."""
+        out: list[int | None] = [None] * self.inner + list(codes)
         if self.star_row is not None:
-            raise TableauError("column already holds the star")
-        idx = self._letter_index(row)
-        value = self.letters[idx]
-        return value, SlSkewColumn(self.inner, self.letters[:idx] + self.letters[idx + 1 :], row)
+            out.insert(self.star_row - 1, None)
+        return out
+
+    def left_at(self, row: int) -> int | None:
+        return self.rows(self.grid()[0])[row - 1]
+
+    def right_at(self, row: int) -> int | None:
+        return self.rows(self.grid()[-1])[row - 1]
+
+    def turned(self, H: int, n: int):
+        """The column turned upside down in a rectangle of height H."""
+        star = None if self.star_row is None else H + 1 - self.star_row
+        return self._reversed(H - self.height, star, n)
 
 
 @dataclass(frozen=True)
-class SlSkewTableau:
+class _SkewTableau:
     n: int
-    columns: tuple[SlSkewColumn, ...]
+    columns: tuple
 
     def __post_init__(self) -> None:
-        hs = self.heights
-        for a, b in zip(hs, hs[1:]):
-            if b > a:
-                raise TableauError(f"outer heights {hs} not weakly decreasing")
-        inn = self.inners
-        for a, b in zip(inn, inn[1:]):
-            if b > a:
-                raise TableauError(f"inner heights {inn} not weakly decreasing")
+        for name, hs in (("outer", self.heights), ("inner", self.inners)):
+            if any(b > a for a, b in zip(hs, hs[1:])):
+                raise TableauError(f"{name} heights {hs} not weakly decreasing")
         if sum(1 for c in self.columns if c.star_row is not None) > 1:
             raise TableauError("more than one star")
 
@@ -129,53 +121,49 @@ class SlSkewTableau:
                 return (c.star_row, j + 1)
         return None
 
-    def letter_at(self, row: int, col: int) -> int | None:
-        if not 1 <= col <= len(self.columns):
-            return None
-        return self.columns[col - 1].letter_at(row)
+    @property
+    def zero_present(self) -> bool:
+        return any(c.has_zero for c in self.columns)
 
-    def replace_col(self, col: int, new: SlSkewColumn) -> "SlSkewTableau":
+    def replace_col(self, col: int, *new):
+        """Columns col, col+1, ... (1-based) replaced by the given ones."""
         cols = list(self.columns)
-        cols[col - 1] = new
-        return SlSkewTableau(self.n, tuple(cols))
+        cols[col - 1 : col - 1 + len(new)] = new
+        return type(self)(self.n, tuple(cols))
+
+    def rotated(self):
+        """Rotate 180 degrees in the bounding rectangle, star to star; the
+        column model reverses the letters."""
+        if not self.columns:
+            return self
+        H = self.heights[0]
+        return type(self)(self.n, tuple(c.turned(H, self.n) for c in reversed(self.columns)))
 
 
-def state_from_tableau(t: Tableau) -> SlSkewTableau:
-    if t.kind != "sl":
-        raise TableauError("expects a plain-letter tableau")
-    return SlSkewTableau(t.n, tuple(SlSkewColumn(0, col) for col in t.columns))
+def _is_semistandard_skew(state: _SkewTableau) -> bool:
+    """The columns of the model's grid are semi-standard away from star and
+    vacated cells.
 
-
-def state_to_tableau(state: SlSkewTableau) -> Tableau:
-    cols = []
-    for c in state.columns:
-        if c.star_row is not None or c.inner:
-            raise TableauError("state still has vacated or star cells")
-        if c.letters:
-            cols.append(c.letters)
-    return Tableau.sl(state.n, tuple(cols))
-
-
-def is_semistandard_skew_sl(state: SlSkewTableau) -> bool:
-    """Adjacent letter-filled cells satisfy the row/column conditions."""
-    for j, col in enumerate(state.columns, start=1):
-        for i in range(1, col.height):
-            a, b = col.letter_at(i), col.letter_at(i + 1)
-            if a is not None and b is not None and a >= b:
+    Only letter-filled neighbours are compared: pairs separated by a star
+    or a vacated cell are skipped.
+    """
+    gcols = [c.rows(codes) for c in state.columns for codes in c.grid()]
+    for col in gcols:
+        for a, b in zip(col, col[1:]):
+            if a is not None and b is not None and b <= a:
                 return False
-        if j < len(state.columns):
-            for i in range(1, state.columns[j].height + 1):
-                a, b = col.letter_at(i), state.columns[j].letter_at(i)
-                if a is not None and b is not None and a > b:
-                    return False
+    for cl, cr in zip(gcols, gcols[1:]):
+        for a, b in zip(cl, cr):
+            if a is not None and b is not None and a > b:
+                return False
     return True
 
 
 # ---------------------------------------------------------------------------
-# slides
+# the engine: slides
 
 
-def _neighbours(state: SlSkewTableau, i: int, j: int) -> tuple[bool, bool]:
+def _neighbours(state: _SkewTableau, i: int, j: int) -> tuple[bool, bool]:
     cols = state.columns
     below = cols[j - 1].height >= i + 1
     right = j < len(cols) and cols[j].height >= i
@@ -184,8 +172,13 @@ def _neighbours(state: SlSkewTableau, i: int, j: int) -> tuple[bool, bool]:
     return below, right
 
 
-def jdt_step(state: SlSkewTableau) -> SlSkewTableau | None:
-    """One slide move; None when the star rests at an outer corner."""
+def _step(state: _SkewTableau):
+    """One slide move; None when the star rests at an outer corner.
+
+    With the star at (i, j) it moves down when the right letter of the cell
+    below is at most the left letter of the cell to the right, and right
+    otherwise.
+    """
     pos = state.star
     if pos is None:
         raise TableauError("no star to slide")
@@ -193,29 +186,33 @@ def jdt_step(state: SlSkewTableau) -> SlSkewTableau | None:
     below, right = _neighbours(state, i, j)
     if not below and not right:
         return None
-    t_below = state.letter_at(i + 1, j) if below else None
-    t_right = state.letter_at(i, j + 1) if right else None
-    if right and (not below or t_below > t_right):
-        value, new_right = state.columns[j].take_letter(i)
-        out = state.replace_col(j, state.columns[j - 1].put_letter(i, value))
-        return out.replace_col(j + 1, new_right)
     col = state.columns[j - 1]
-    return state.replace_col(j, replace(col, star_row=i + 1))
+    if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
+        return state.replace_col(j, replace(col, star_row=i + 1))
+    return state.replace_col(j, *col.pull(state.columns[j], i))
 
 
-def jdt_to_rest(state: SlSkewTableau) -> tuple[SlSkewTableau, list[tuple[int, int]]]:
-    """Slide until the star rests; returns the state and the star's path."""
+def _to_rest(state, step, record: list | None = None, check=None):
+    """Slide with `step` until the star rests; returns the state and the
+    star's path.  States go to `record` when given; `check` must hold on
+    every state after a move, else the slide broke an invariant."""
+    if record is not None:
+        record.append(state)
     path = [state.star]
     while True:
-        nxt = jdt_step(state)
+        nxt = step(state)
         if nxt is None:
             return state, path
         state = nxt
         path.append(state.star)
+        if record is not None:
+            record.append(state)
+        if check is not None and not check(state):
+            raise TaquinInvariantError(f"slide left a non-semi-standard state at {state.star}")
 
 
-def shed(state: SlSkewTableau) -> SlSkewTableau:
-    """Remove the resting star cell (keeps height-0 columns in place)."""
+def shed(state):
+    """Remove the resting star cell (height-0 columns stay in place)."""
     pos = state.star
     if pos is None:
         raise TableauError("no star to shed")
@@ -223,56 +220,181 @@ def shed(state: SlSkewTableau) -> SlSkewTableau:
     below, right = _neighbours(state, i, j)
     if below or right:
         raise TableauError("star is not resting at an outer corner")
-    return state.replace_col(j, state.columns[j - 1].remove_star())
+    return state.replace_col(j, replace(state.columns[j - 1], star_row=None))
 
 
-def jdt_full(state: SlSkewTableau) -> SlSkewTableau:
-    rest, _ = jdt_to_rest(state)
-    return shed(rest)
+# ---------------------------------------------------------------------------
+# the engine: reduction pass and inverse
 
 
-def render_state(state: SlSkewTableau) -> str:
-    """ASCII layout of a skew state; vacated cells blank, the star a "*"."""
-    from .tableaux import render_cells
-
-    cols = []
-    for c in state.columns:
-        texts = [""] * c.inner
-        for row in range(c.inner + 1, c.height + 1):
-            letter = c.letter_at(row)
-            texts.append("*" if row == c.star_row else str(letter))
-        cols.append(texts)
-    return render_cells(cols)
+def _straight(state: _SkewTableau, lead: int) -> Tableau:
+    """The tableau in the columns after the first `lead`; a vacated cell,
+    the star or the extended letter 0 left there is a trap."""
+    cols = state.columns[lead:]
+    for c in cols:
+        if c.inner or c.star_row is not None:
+            raise TaquinInvariantError(f"residual vacated or star cell beyond the first {lead} columns")
+        if c.has_zero:
+            raise TaquinInvariantError("extended letter 0 survived the slides")
+    return Tableau(state.n, type(state).kind, tuple(c.content for c in cols if c.size))
 
 
-def state_to_json(state: SlSkewTableau) -> dict:
-    """One snapshot: grids, vacated prefix heights, star coordinate."""
-    cols = []
-    for c in state.columns:
-        rows: list = []
-        for row in range(c.inner + 1, c.height + 1):
-            rows.append(None if row == c.star_row else c.letter_at(row))
-        cols.append(rows)
-    star = state.star
-    return {"columns": cols, "inner": list(state.inners), "star": list(star) if star else None}
+def _slide_pass(cls, t: Tableau, s: int, grid, to_rest) -> Tableau:
+    """One reduction pass at row s of the tableau whose (double) grid is
+    given: prepend a trivial column with s-1 vacated cells and the star at
+    s, slide to rest, strip it.  The invariants from theory are hard traps:
+    the star stays in row s, no 0 appears, the first column ends trivial."""
+    if not nqs_grid(grid, s):
+        raise TableauError(f"tableau is quasi-standard at row {s}")
+    n, model = t.n, cls.column
+    state = cls(n, (model.trivial(n, s + 1, s - 1, s),) + tuple(model.of(n, c) for c in t.columns))
+    rest, path = to_rest(state)
+    if any(i != s for i, _ in path):
+        raise TaquinInvariantError(f"star left row {s}: path {path}")
+    if rest.zero_present:
+        raise TaquinInvariantError("extended letter 0 appeared during a reduction pass")
+    state = shed(rest)
+    if state.columns[0] != model.trivial(n, s, s - 1):
+        raise TaquinInvariantError(f"first column did not end trivial-with-{s - 1}-vacated")
+    return _straight(state, 1)
 
 
-def trace_to_json(states: list[SlSkewTableau]) -> list[dict]:
-    return [state_to_json(s) for s in states]
+def _star_fill_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Cells of lambda minus mu, bottom row first, right to left within a row."""
+    return sorted(skew_cells(lam, mu), key=lambda ij: (-ij[0], -ij[1]))
+
+
+def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = None) -> Tableau:
+    """Rebuild the tableau of shape lambda that reduces to (mu, q).
+
+    Prepends trivial columns, fills lambda minus mu with numbered stars,
+    reverses, slides the stars in decreasing index (each star's remaining
+    predecessors acting as vacated cells), reverses back, completes the
+    trivial columns and strips them.  `standard` says whether q is
+    semi-standard and quasi-standard in its alphabet.
+    """
+    lam, mu, hmax = tuple(lam), tuple(mu), q.hmax
+    if q.shape != mu:
+        raise ShapeError(f"tableau shape {q.shape} is not {mu}")
+    if not shape_contains(mu, lam):
+        raise ShapeError(f"{mu} is not contained in {lam}")
+    if not weight_leq(mu, lam, hmax):
+        raise ShapeError(f"{mu} is not below {lam} in the weight order")
+    if not standard(q):
+        raise TableauError("the tableau to expand is not semi-standard and quasi-standard")
+    if lam == mu:
+        return q
+    n, model = q.n, cls.column
+    d = len(lam) - len(mu)
+    # d full trivial columns, q, then d empty ones (trivial from past hmax);
+    # turned over, the cells of lambda minus mu are vacated cells on top
+    start = (
+        (model.trivial(n, 1),) * d
+        + tuple(model.of(n, c) for c in q.columns)
+        + (model.trivial(n, hmax + 1),) * d
+    )
+    state = cls(n, start).rotated()
+    if record is not None:
+        record.append(state)
+    W = len(start)
+    fill = _star_fill_order(lam, mu)
+    exits: list[tuple[int, int]] = []
+    for k in range(len(fill), 0, -1):
+        i, j = fill[k - 1]
+        row, col = hmax + 1 - i, W + 1 - (j + d)
+        c = state.columns[col - 1]
+        if c.inner != row:
+            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not the bottom vacated cell")
+        state = state.replace_col(col, replace(c, inner=c.inner - 1, star_row=row))
+        rest, path = to_rest(state)
+        if rest.zero_present:
+            raise TaquinInvariantError("extended letter 0 appeared during the inverse")
+        state = shed(rest)
+        exits.append(path[-1])
+    for e1, e2 in zip(exits, exits[1:]):
+        if not e2 < e1:
+            raise TaquinInvariantError(f"star exit corners not monotone: {exits}")
+
+    state = state.rotated()
+    if record is not None:
+        record.append(state)
+    for j, c in enumerate(state.columns[:d], start=1):
+        if c != model.trivial(n, c.inner + 1, c.inner):
+            raise TaquinInvariantError(f"column {j} is not a trivial bottom")
+    return _straight(state, d)
+
+
+# ---------------------------------------------------------------------------
+# the classical model
+
+
+@dataclass(frozen=True)
+class SlSkewColumn(_SkewColumn):
+    """inner vacated cells on top, then letters in row order, star optional."""
+
+    inner: int
+    letters: tuple[int, ...]
+    star_row: int | None = None
+
+    def __post_init__(self) -> None:
+        self._check_frame()
+
+    @property
+    def size(self) -> int:
+        return len(self.letters)
+
+    @property
+    def content(self) -> tuple[int, ...]:
+        return self.letters
+
+    def grid(self) -> tuple[tuple[int, ...]]:
+        return (self.letters,)
+
+    def pull(self, right: "SlSkewColumn", row: int) -> tuple["SlSkewColumn", "SlSkewColumn"]:
+        """Horizontal move: the letter at (row, right) swaps with the star here."""
+        k = row - right.inner - 1  # right holds no star
+        idx = row - self.inner - 1
+        return (
+            SlSkewColumn(self.inner, self.letters[:idx] + (right.letters[k],) + self.letters[idx:]),
+            SlSkewColumn(right.inner, right.letters[:k] + right.letters[k + 1 :], row),
+        )
+
+    def _reversed(self, inner: int, star: int | None, n: int) -> "SlSkewColumn":
+        return SlSkewColumn(inner, tuple(sigma_letter_sl(t, n) for t in reversed(self.letters)), star)
+
+    @classmethod
+    def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SlSkewColumn":
+        """The letters top, ..., n-1 under `inner` vacated cells."""
+        return cls(inner, tuple(range(top, n)), star)
+
+    @classmethod
+    def of(cls, n: int, letters: tuple[int, ...]) -> "SlSkewColumn":
+        return cls(0, tuple(letters))
+
+
+class SlSkewTableau(_SkewTableau):
+    column = SlSkewColumn
+    kind = "sl"
+
+
+def is_semistandard_skew_sl(state: SlSkewTableau) -> bool:
+    """Adjacent letter-filled cells satisfy the row/column conditions."""
+    return _is_semistandard_skew(state)
+
+
+def jdt_step(state: SlSkewTableau) -> SlSkewTableau | None:
+    """One slide move; None when the star rests at an outer corner."""
+    return _step(state)
+
+
+def jdt_to_rest(state: SlSkewTableau) -> tuple[SlSkewTableau, list[tuple[int, int]]]:
+    """Slide until the star rests; returns the state and the star's path."""
+    return _to_rest(state, jdt_step)
 
 
 def sigma_sl(state: SlSkewTableau) -> SlSkewTableau:
     """Rotate 180 degrees in the bounding rectangle and map entries by n+1-t."""
-    if not state.columns:
-        return state
-    H = state.heights[0]
-    n = state.n
-    new_cols = []
-    for old in reversed(state.columns):
-        letters = tuple(sigma_letter_sl(t, n) for t in reversed(old.letters))
-        star = None if old.star_row is None else H + 1 - old.star_row
-        new_cols.append(SlSkewColumn(H - old.height, letters, star))
-    return SlSkewTableau(n, tuple(new_cols))
+    return state.rotated()
 
 
 def jdt_inverse(state: SlSkewTableau) -> SlSkewTableau:
@@ -287,25 +409,7 @@ def jdt_inverse(state: SlSkewTableau) -> SlSkewTableau:
 
 def slide_pass_sl(t: Tableau, s: int) -> Tableau:
     """One reduction pass at row s: prepend a vacated trivial column, slide, strip."""
-    if s not in nqs_rows(t.grid()):
-        raise TableauError(f"tableau is quasi-standard at row {s}")
-    hmax = t.n - 1
-    col0 = SlSkewColumn(s - 1, tuple(range(s + 1, hmax + 1)), s)
-    state = SlSkewTableau(t.n, (col0,) + tuple(SlSkewColumn(0, c) for c in t.columns))
-    rest, path = jdt_to_rest(state)
-    if any(i != s for i, _ in path):
-        raise TaquinInvariantError(f"star left row {s}: path {path}")
-    state = shed(rest)
-    first = state.columns[0]
-    if first.inner != s - 1 or first.letters != tuple(range(s, hmax + 1)):
-        raise TaquinInvariantError(f"first column did not end trivial-with-{s - 1}-vacated")
-    rest_cols = []
-    for c in state.columns[1:]:
-        if c.inner or c.star_row is not None:
-            raise TaquinInvariantError("residual vacated or star cell after a pass")
-        if c.letters:
-            rest_cols.append(c.letters)
-    return Tableau.sl(t.n, tuple(rest_cols))
+    return _slide_pass(SlSkewTableau, t, s, t.grid(), jdt_to_rest)
 
 
 def reduce_sl(t: Tableau) -> tuple[tuple[int, ...], Tableau]:
@@ -318,74 +422,8 @@ def reduce_sl(t: Tableau) -> tuple[tuple[int, ...], Tableau]:
         cur = slide_pass_sl(cur, max(rows))
 
 
-def _star_fill_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Cells of lambda minus mu, bottom row first, right to left within a row."""
-    return sorted(skew_cells(lam, mu), key=lambda ij: (-ij[0], -ij[1]))
-
-
 def expand_sl(lam: tuple[int, ...], mu: tuple[int, ...], q: Tableau) -> Tableau:
     """Rebuild the semi-standard tableau of shape lambda reducing to (mu, q)."""
-    hmax = q.n - 1
-    if q.shape != tuple(mu):
-        raise ShapeError(f"tableau shape {q.shape} is not {tuple(mu)}")
-    if not shape_contains(tuple(mu), tuple(lam)):
-        raise ShapeError(f"{tuple(mu)} is not contained in {tuple(lam)}")
-    if not weight_leq(tuple(mu), tuple(lam), hmax):
-        raise ShapeError(f"{tuple(mu)} is not below {tuple(lam)} in the weight order")
-    lam, mu = tuple(lam), tuple(mu)
-    if lam == mu:
-        return q
-    d = len(lam) - len(mu)
-    fill = _star_fill_order(lam, mu)
-    star_cells = {(i, j + d): k for k, (i, j) in enumerate(fill, start=1)}
-
-    trivial = tuple(range(1, hmax + 1))
-    heights = (hmax,) * d + lam
-    H, W = hmax, len(heights)
-    q_grid = q.grid()
-
-    new_cols = []
-    star_pos: dict[int, tuple[int, int]] = {}
-    for jj in range(1, W + 1):
-        oj = W + 1 - jj
-        h_old = heights[oj - 1]
-        if oj <= d:
-            content: list[int | None] = list(trivial)
-        else:
-            qcol = q_grid[oj - d - 1] if oj - d <= len(q_grid) else ()
-            content = list(qcol) + [None] * (h_old - len(qcol))
-        letters = []
-        stars_here = 0
-        for r in range(h_old, 0, -1):
-            if content[r - 1] is None:
-                k = star_cells[(r, oj)]
-                star_pos[k] = (H + 1 - r, jj)
-                stars_here += 1
-            else:
-                letters.append(sigma_letter_sl(content[r - 1], q.n))
-        new_cols.append(SlSkewColumn(H - h_old + stars_here, tuple(letters)))
-    state = SlSkewTableau(q.n, tuple(new_cols))
-
-    for k in range(len(fill), 0, -1):
-        row, col = star_pos[k]
-        c = state.columns[col - 1]
-        if c.inner != row:
-            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not the bottom vacated cell")
-        state = state.replace_col(col, SlSkewColumn(c.inner - 1, c.letters, row))
-        rest, _ = jdt_to_rest(state)
-        state = shed(rest)
-
-    state = sigma_sl(state)
-    out_cols = []
-    for j, c in enumerate(state.columns, start=1):
-        if c.star_row is not None:
-            raise TaquinInvariantError("residual star after expansion")
-        if j <= d:
-            if c.letters != tuple(range(c.inner + 1, hmax + 1)):
-                raise TaquinInvariantError(f"column {j} is not a trivial bottom: {c.letters}")
-            continue
-        if c.inner:
-            raise TaquinInvariantError(f"vacated cells beyond the first {d} columns")
-        if c.letters:
-            out_cols.append(c.letters)
-    return Tableau.sl(q.n, tuple(out_cols))
+    return _expand(
+        SlSkewTableau, lam, mu, q, lambda t: is_semistandard_sl(t) and is_quasistandard_sl(t), jdt_to_rest
+    )

@@ -1,6 +1,6 @@
-"""Symplectic jeu de taquin: slides on pointed skew tableaux via column
-surgery through the doubling, the reduction pass with a vacated trivial
-column, the full reduction to a quasi-standard tableau, and its inverse.
+"""Symplectic jeu de taquin: the column model that runs the skew-tableau
+engine of taquin_sl on column doubles, the reduction to a quasi-standard
+tableau and its inverse, and the trace JSON.
 
 Slide decisions compare the doubled letters: with the star at (i, j), the
 right copy of the cell below (beta) against the left copy of the cell to
@@ -10,31 +10,41 @@ horizontal move performs the surgery
     alpha unbarred u:  c_j gains u on its B-side, c_{j+1} loses u from A;
     alpha barred   v': c_j gains v on its D-side, c_{j+1} loses v from C;
 
-and the star lands at (i, j+1).  The extended letter 0 can appear (first
-column only); inside the reduction passes it is a hard invariant violation.
+and the star lands at (i, j+1).  The reversal swaps A and D.  The extended
+letter 0 can appear (first column only); inside the reduction passes it is
+a hard invariant violation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .columns import (
     SymplecticColumn,
-    dble_sets,
+    double_of,
     surgery_add_B,
     surgery_add_D,
     surgery_remove_A,
     surgery_remove_C,
 )
-from .errors import ShapeError, TableauError, TaquinInvariantError
+from .errors import TableauError
+from .letters import from_code, letter_to_json
 from .tableaux import (
     Tableau,
     dble_tableau,
-    nqs_grid,
+    is_quasistandard_sp,
+    is_semistandard_sp,
     pushable_rows,
-    shape_contains,
-    skew_cells,
-    weight_leq,
+)
+from .taquin_sl import (
+    _expand,
+    _is_semistandard_skew,
+    _SkewColumn,
+    _SkewTableau,
+    _slide_pass,
+    _step,
+    _to_rest,
+    shed,
 )
 
 __all__ = [
@@ -44,33 +54,22 @@ __all__ = [
     "phi",
     "phi_passes",
     "psi",
-    "render_state",
     "shed",
     "sigma_sp",
-    "sigma_sp_tableau",
     "sjdt_step",
     "sjdt_to_rest",
     "slide_pass_sp",
     "state_from_tableau",
-    "state_to_tableau",
 ]
 
 
-def _placed(codes: tuple[int, ...], inner: int, star_row: int | None, row: int) -> int | None:
-    """The code occupying `row` when codes fill rows inner+1.. skipping star_row."""
-    if row <= inner or row == star_row:
-        return None
-    idx = row - inner - 1
-    if star_row is not None and row > star_row:
-        idx -= 1
-    if idx >= len(codes):
-        return None
-    return codes[idx]
-
-
 @dataclass(frozen=True)
-class SpSkewColumn:
-    """Vacated prefix, column content (A, D), and an optional star cell."""
+class SpSkewColumn(_SkewColumn):
+    """Vacated prefix, column content (A, D), and an optional star cell.
+
+    The content is built once, as a SymplecticColumn, so (A, D) obeys its
+    rules; the grid is the memoised double: A over C' and B over D'.
+    """
 
     n: int
     inner: int
@@ -79,115 +78,66 @@ class SpSkewColumn:
     star_row: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "A", frozenset(self.A))
-        object.__setattr__(self, "D", frozenset(self.D))
-        if self.inner < 0:
-            raise TableauError("negative inner height")
-        if self.star_row is not None and not self.inner < self.star_row <= self.height:
-            raise TableauError(f"star row {self.star_row} outside ({self.inner}, {self.height}]")
+        content = SymplecticColumn(self.n, self.A, self.D)
+        object.__setattr__(self, "A", content.A)
+        object.__setattr__(self, "D", content.D)
+        object.__setattr__(self, "content", content)
+        self._check_frame()
 
     @property
-    def content(self) -> SymplecticColumn:
-        return SymplecticColumn(self.n, self.A, self.D)
-
-    @property
-    def height(self) -> int:
-        return self.inner + len(self.A) + len(self.D) + (self.star_row is not None)
+    def size(self) -> int:
+        return len(self.A) + len(self.D)
 
     @property
     def has_zero(self) -> bool:
         return 0 in self.A or 0 in self.D
 
-    def visible_at(self, row: int) -> int | None:
-        return _placed(self.content.codes(), self.inner, self.star_row, row)
+    def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        d = double_of(self.n, self.A, self.D)
+        return d.left, d.right
 
-    def double_at(self, row: int) -> tuple[int | None, int | None]:
-        """(left, right) doubled letters at `row`: A over C' and B over D'."""
-        _, _, B, C = dble_sets(self.content)
-        left = SymplecticColumn(self.n, self.A, C).codes()
-        right = SymplecticColumn(self.n, B, self.D).codes()
+    def pull(self, right: "SpSkewColumn", row: int) -> tuple["SpSkewColumn", "SpSkewColumn"]:
+        """Horizontal move: the left letter alpha at (row, right) crosses
+        into this column by surgery through the doubling."""
+        n = self.n
+        alpha = right.left_at(row)
+        if alpha <= n:
+            new, new_right = surgery_add_B(self.content, alpha), surgery_remove_A(right.content, alpha)
+        else:
+            v = 2 * n + 1 - alpha
+            new, new_right = surgery_add_D(self.content, v), surgery_remove_C(right.content, v)
         return (
-            _placed(left, self.inner, self.star_row, row),
-            _placed(right, self.inner, self.star_row, row),
+            SpSkewColumn(n, self.inner, new.A, new.D),
+            SpSkewColumn(n, right.inner, new_right.A, new_right.D, row),
         )
 
+    def _reversed(self, inner: int, star: int | None, n: int) -> "SpSkewColumn":
+        return SpSkewColumn(self.n, inner, self.D, self.A, star)
 
-@dataclass(frozen=True)
-class SpSkewTableau:
-    n: int
-    columns: tuple[SpSkewColumn, ...]
+    @classmethod
+    def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SpSkewColumn":
+        """The letters top, ..., n under `inner` vacated cells."""
+        return cls(n, inner, frozenset(range(top, n + 1)), frozenset(), star)
+
+    @classmethod
+    def of(cls, n: int, col: SymplecticColumn) -> "SpSkewColumn":
+        return cls(n, 0, col.A, col.D)
+
+
+class SpSkewTableau(_SkewTableau):
+    column = SpSkewColumn
+    kind = "sp"
 
     def __post_init__(self) -> None:
-        hs = self.heights
-        for a, b in zip(hs, hs[1:]):
-            if b > a:
-                raise TableauError(f"outer heights {hs} not weakly decreasing")
-        inn = self.inners
-        for a, b in zip(inn, inn[1:]):
-            if b > a:
-                raise TableauError(f"inner heights {inn} not weakly decreasing")
-        if sum(1 for c in self.columns if c.star_row is not None) > 1:
-            raise TableauError("more than one star")
+        super().__post_init__()
         if any(c.n != self.n for c in self.columns):
             raise TableauError("column rank mismatch")
-
-    @property
-    def heights(self) -> tuple[int, ...]:
-        return tuple(c.height for c in self.columns)
-
-    @property
-    def inners(self) -> tuple[int, ...]:
-        return tuple(c.inner for c in self.columns)
-
-    @property
-    def star(self) -> tuple[int, int] | None:
-        for j, c in enumerate(self.columns):
-            if c.star_row is not None:
-                return (c.star_row, j + 1)
-        return None
-
-    @property
-    def zero_present(self) -> bool:
-        return any(c.has_zero for c in self.columns)
-
-    def replace_col(self, col: int, new: SpSkewColumn) -> "SpSkewTableau":
-        cols = list(self.columns)
-        cols[col - 1] = new
-        return SpSkewTableau(self.n, tuple(cols))
 
 
 def state_from_tableau(t: Tableau) -> SpSkewTableau:
     if t.kind != "sp":
         raise TableauError("expects a symplectic tableau")
-    return SpSkewTableau(t.n, tuple(SpSkewColumn(t.n, 0, c.A, c.D) for c in t.columns))
-
-
-def state_to_tableau(state: SpSkewTableau) -> Tableau:
-    cols = []
-    for c in state.columns:
-        if c.star_row is not None or c.inner:
-            raise TableauError("state still has vacated or star cells")
-        if c.height:
-            cols.append(c.content)
-    return Tableau(state.n, "sp", tuple(cols))
-
-
-def _double_rows(c: SpSkewColumn) -> tuple[list[int | None], list[int | None]]:
-    """Left and right doubled letters by row (index 0 = row 1), None at
-    vacated and star cells."""
-    _, _, B, C = dble_sets(c.content)
-    left_codes = SymplecticColumn(c.n, c.A, C).codes()
-    right_codes = SymplecticColumn(c.n, B, c.D).codes()
-    left: list[int | None] = [None] * c.height
-    right: list[int | None] = [None] * c.height
-    idx = 0
-    for row in range(c.inner + 1, c.height + 1):
-        if row == c.star_row:
-            continue
-        left[row - 1] = left_codes[idx]
-        right[row - 1] = right_codes[idx]
-        idx += 1
-    return left, right
+    return SpSkewTableau(t.n, tuple(SpSkewColumn.of(t.n, c) for c in t.columns))
 
 
 def is_semistandard_skew_sp(state: SpSkewTableau) -> bool:
@@ -196,60 +146,16 @@ def is_semistandard_skew_sp(state: SpSkewTableau) -> bool:
     Only letter-filled neighbours are compared: pairs separated by a star
     or a vacated cell are skipped.
     """
-    dcols: list[list[int | None]] = []
-    for c in state.columns:
-        left, right = _double_rows(c)
-        dcols.append(left)
-        dcols.append(right)
-    for col in dcols:
-        for a, b in zip(col, col[1:]):
-            if a is not None and b is not None and b <= a:
-                return False
-    for cl, cr in zip(dcols, dcols[1:]):
-        for a, b in zip(cl, cr):
-            if a is not None and b is not None and a > b:
-                return False
-    return True
+    return _is_semistandard_skew(state)
 
 
 # ---------------------------------------------------------------------------
 # slides
 
 
-def _neighbours(state: SpSkewTableau, i: int, j: int) -> tuple[bool, bool]:
-    cols = state.columns
-    below = cols[j - 1].height >= i + 1
-    right = j < len(cols) and cols[j].height >= i
-    if right and cols[j].inner >= i:
-        raise TableauError(f"star at ({i},{j}) is not at an inner corner")
-    return below, right
-
-
 def sjdt_step(state: SpSkewTableau) -> SpSkewTableau | None:
     """One slide move; None when the star rests at an outer corner."""
-    pos = state.star
-    if pos is None:
-        raise TableauError("no star to slide")
-    i, j = pos
-    below, right = _neighbours(state, i, j)
-    if not below and not right:
-        return None
-    col = state.columns[j - 1]
-    beta = col.double_at(i + 1)[1] if below else None
-    alpha = state.columns[j].double_at(i)[0] if right else None
-    if below and (not right or beta <= alpha):
-        return state.replace_col(j, replace(col, star_row=i + 1))
-    n = state.n
-    nxt = state.columns[j]
-    if alpha <= n:
-        new_j = surgery_add_B(col.content, alpha)
-        new_j1 = surgery_remove_A(nxt.content, alpha)
-    else:
-        v = 2 * n + 1 - alpha
-        new_j = surgery_add_D(col.content, v)
-        new_j1 = surgery_remove_C(nxt.content, v)
-    out = state.replace_col(j, SpSkewColumn(n, col.inner, new_j.A, new_j.D, None))
-    return out.replace_col(j + 1, SpSkewColumn(n, nxt.inner, new_j1.A, new_j1.D, i))
+    return _step(state)
 
 
 def sjdt_to_rest(
@@ -260,31 +166,7 @@ def sjdt_to_rest(
     With verify=True every intermediate state is checked to stay
     semi-standard away from the star (an invariant of the slide rules).
     """
-    if record is not None:
-        record.append(state)
-    path = [state.star]
-    while True:
-        nxt = sjdt_step(state)
-        if nxt is None:
-            return state, path
-        state = nxt
-        path.append(state.star)
-        if record is not None:
-            record.append(state)
-        if verify and not is_semistandard_skew_sp(state):
-            raise TaquinInvariantError(f"slide left a non-semi-standard state at {state.star}")
-
-
-def shed(state: SpSkewTableau) -> SpSkewTableau:
-    """Remove the resting star cell (height-0 columns stay in place)."""
-    pos = state.star
-    if pos is None:
-        raise TableauError("no star to shed")
-    i, j = pos
-    below, right = _neighbours(state, i, j)
-    if below or right:
-        raise TableauError("star is not resting at an outer corner")
-    return state.replace_col(j, replace(state.columns[j - 1], star_row=None))
+    return _to_rest(state, sjdt_step, record, is_semistandard_skew_sp if verify else None)
 
 
 def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
@@ -293,52 +175,20 @@ def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
     On column content the bar-swap exchanges the unbarred and barred parts,
     so a column (A, D) becomes (D, A).
     """
-    if not state.columns:
-        return state
-    H = state.heights[0]
-    new_cols = []
-    for old in reversed(state.columns):
-        star = None if old.star_row is None else H + 1 - old.star_row
-        new_cols.append(SpSkewColumn(old.n, H - old.height, old.D, old.A, star))
-    return SpSkewTableau(state.n, tuple(new_cols))
-
-
-def sigma_sp_tableau(t: Tableau) -> SpSkewTableau:
-    """Reversal of a straight tableau; the result is skew unless rectangular."""
-    return sigma_sp(state_from_tableau(t))
+    return state.rotated()
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# reduction and its inverse
 
 
 def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
-    """One reduction pass at row s: prepend a trivial column with s vacated
-    cells, slide to rest, strip it; the three invariants from theory are
-    enforced as hard traps."""
-    if not nqs_grid(dble_tableau(t), s):
-        raise TableauError(f"double is quasi-standard at row {s}")
-    n = t.n
-    col0 = SpSkewColumn(n, s - 1, frozenset(range(s + 1, n + 1)), frozenset(), s)
-    state = SpSkewTableau(n, (col0,) + tuple(SpSkewColumn(n, 0, c.A, c.D) for c in t.columns))
-    rest, path = sjdt_to_rest(state, record, verify=True)
-    if any(i != s for i, _ in path):
-        raise TaquinInvariantError(f"star left row {s}: path {path}")
-    if rest.zero_present:
-        raise TaquinInvariantError("extended letter 0 appeared during a reduction pass")
-    state = shed(rest)
-    first = state.columns[0]
-    if first.inner != s - 1 or first.A != frozenset(range(s, n + 1)) or first.D:
-        raise TaquinInvariantError(f"first column did not end trivial-with-{s - 1}-vacated")
-    rest_cols = []
-    for c in state.columns[1:]:
-        if c.inner or c.star_row is not None:
-            raise TaquinInvariantError("residual vacated or star cell after a pass")
-        if c.has_zero:
-            raise TaquinInvariantError("extended letter 0 survived a reduction pass")
-        if c.height:
-            rest_cols.append(c.content)
-    return Tableau(n, "sp", tuple(rest_cols))
+    """One reduction pass at row s: prepend a trivial column with s-1
+    vacated cells and the star at s, slide to rest, strip it; the three
+    invariants from theory are enforced as hard traps."""
+    return _slide_pass(
+        SpSkewTableau, t, s, dble_tableau(t), lambda state: sjdt_to_rest(state, record, verify=True)
+    )
 
 
 def phi_passes(t: Tableau, record: list | None = None):
@@ -361,15 +211,6 @@ def phi(t: Tableau, record: list | None = None) -> tuple[tuple[int, ...], Tablea
     return cur.shape, cur
 
 
-# ---------------------------------------------------------------------------
-# the inverse
-
-
-def _star_fill_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Cells of lambda minus mu, bottom row first, right to left within rows."""
-    return sorted(skew_cells(lam, mu), key=lambda ij: (-ij[0], -ij[1]))
-
-
 def psi(
     lam: tuple[int, ...],
     mu: tuple[int, ...],
@@ -381,97 +222,18 @@ def psi(
     Prepends trivial columns, fills lambda minus mu with numbered stars,
     reverses, slides the stars in decreasing index (each star's remaining
     predecessors acting as vacated cells), reverses back, completes the
-    trivial columns and strips them.
+    trivial columns and strips them.  q must be semi-standard and
+    quasi-standard, else TableauError.
     """
-    n = q.n
-    lam, mu = tuple(lam), tuple(mu)
-    if q.shape != mu:
-        raise ShapeError(f"tableau shape {q.shape} is not {mu}")
-    if not shape_contains(mu, lam):
-        raise ShapeError(f"{mu} is not contained in {lam}")
-    if not weight_leq(mu, lam, n):
-        raise ShapeError(f"{mu} is not below {lam} in the weight order")
-    if lam == mu:
-        return q
-    d = len(lam) - len(mu)
-    fill = _star_fill_order(lam, mu)
-    star_cells = {(i, j + d): k for k, (i, j) in enumerate(fill, start=1)}
-
-    heights = (n,) * d + lam
-    H, W = n, len(heights)
-
-    new_cols = []
-    star_pos: dict[int, tuple[int, int]] = {}
-    for jj in range(1, W + 1):
-        oj = W + 1 - jj
-        h_old = heights[oj - 1]
-        if oj <= d:
-            A, D = frozenset(range(1, n + 1)), frozenset()
-            stars_here = 0
-        else:
-            col = q.columns[oj - d - 1] if oj - d <= len(q.columns) else None
-            A = col.A if col else frozenset()
-            D = col.D if col else frozenset()
-            stars_here = h_old - (len(A) + len(D))
-            for k_off in range(stars_here):
-                r = h_old - k_off
-                star_pos[star_cells[(r, oj)]] = (H + 1 - r, jj)
-        new_cols.append(SpSkewColumn(n, H - h_old + stars_here, D, A))
-    state = SpSkewTableau(n, tuple(new_cols))
-    if record is not None:
-        record.append(state)
-
-    exits: list[tuple[int, int]] = []
-    for k in range(len(fill), 0, -1):
-        row, col = star_pos[k]
-        c = state.columns[col - 1]
-        if c.inner != row:
-            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not the bottom vacated cell")
-        state = state.replace_col(col, SpSkewColumn(n, c.inner - 1, c.A, c.D, row))
-        rest, path = sjdt_to_rest(state, record, verify=True)
-        if rest.zero_present:
-            raise TaquinInvariantError("extended letter 0 appeared during the inverse")
-        state = shed(rest)
-        exits.append(path[-1])
-    for e1, e2 in zip(exits, exits[1:]):
-        if not e2 < e1:
-            raise TaquinInvariantError(f"star exit corners not monotone: {exits}")
-
-    state = sigma_sp(state)
-    if record is not None:
-        record.append(state)
-    out_cols = []
-    for j, c in enumerate(state.columns, start=1):
-        if c.star_row is not None:
-            raise TaquinInvariantError("residual star after the inverse")
-        if c.has_zero:
-            raise TaquinInvariantError("extended letter 0 survived the inverse")
-        if j <= d:
-            if c.A != frozenset(range(c.inner + 1, n + 1)) or c.D:
-                raise TaquinInvariantError(f"column {j} is not a trivial bottom")
-            continue
-        if c.inner:
-            raise TaquinInvariantError(f"vacated cells beyond the first {d} columns")
-        if c.height:
-            out_cols.append(c.content)
-    return Tableau(n, "sp", tuple(out_cols))
-
-
-def render_state(state: SpSkewTableau) -> str:
-    """ASCII layout of a skew state; vacated cells blank, the star a "*"."""
-    from .letters import format_letter, from_code
-    from .tableaux import render_cells
-
-    cols = []
-    for c in state.columns:
-        texts = [""] * c.inner
-        for row in range(c.inner + 1, c.height + 1):
-            if row == c.star_row:
-                texts.append("*")
-            else:
-                texts.append(format_letter(from_code(c.visible_at(row), c.n)))
-        cols.append(texts)
-    return render_cells(cols)
+    return _expand(
+        SpSkewTableau,
+        lam,
+        mu,
+        q,
+        lambda t: is_semistandard_sp(t) and is_quasistandard_sp(t),
+        lambda state: sjdt_to_rest(state, record, verify=True),
+        record,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +244,14 @@ def state_to_json(state: SpSkewTableau, extended: bool = False) -> dict:
     """One slide snapshot; letters as signed integers, or as {m, b} objects
     when the trace holds extended letters (a signed integer cannot encode
     the barred zero)."""
-    from .letters import from_code, letter_to_json
-
     cols = []
     for c in state.columns:
         rows: list = []
-        for row in range(c.inner + 1, c.height + 1):
-            if row == c.star_row:
+        for code in c.rows(c.content.codes())[c.inner :]:
+            if code is None:
                 rows.append(None)
                 continue
-            letter = from_code(c.visible_at(row), c.n)
+            letter = from_code(code, c.n)
             if extended:
                 rows.append({"m": letter.magnitude, "b": letter.barred})
             else:

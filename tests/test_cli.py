@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,8 @@ def run_cli(args, stdin=""):
 
 T_RANK3 = '{"n":3,"kind":"sp","columns":[[1,2,-2],[2,-2]]}'
 T_EX4 = '{"n":4,"kind":"sp","columns":[[1,2,3,-3],[1,3,-3],[3,-3]]}'
+Q_EX4 = '{"n":4,"kind":"sp","columns":[[1,-3,-2,-1]]}'
+SKEW_ZERO = '{"n":4,"columns":[[-4,-3,-2,-1],[1,4,-3,-1],[3,4]],"inner":[2,0,0]}'
 
 
 def test_check_quasistandard_example():
@@ -63,8 +66,7 @@ def test_phi_psi_round_trip():
 
 
 def test_sjdt_trace_with_zero_letters():
-    skew = '{"n":4,"columns":[[-4,-3,-2,-1],[1,4,-3,-1],[3,4]],"inner":[2,0,0]}'
-    r = run_cli(["sjdt", "--n", "4", "--star", "2,1"], skew)
+    r = run_cli(["sjdt", "--n", "4", "--star", "2,1"], SKEW_ZERO)
     out = json.loads(r.stdout)
     assert out["path"] == [[2, 1], [2, 2], [2, 3]]
     assert out["trace"][1]["zero_present"] is True
@@ -112,3 +114,54 @@ def test_rank_mismatch_is_an_input_error():
     r = run_cli(["check", "--n", "4", "--predicate", "ss-sp"], T_RANK3)
     assert r.returncode == 1
     assert "does not match" in r.stderr
+
+
+# SHA-256 and length of the full stdout of the traced worked example and of
+# the zero-letter slide, byte for byte
+TRACE_GOLDENS = [
+    (["phi", "--n", "4", "--trace"], T_EX4, "7df28b6d0dee03aa7e9975480965898a01f76406135f8c654f313c91b3d85067", 1774),
+    (
+        ["psi", "--n", "4", "--target-shape", "4,3,2", "--trace"],
+        Q_EX4,
+        "40a6af623035639974366a6e44f1bff33e40d4aba41c078d191f3a509023df80",
+        2620,
+    ),
+    (["sjdt", "--n", "4", "--star", "2,1"], SKEW_ZERO, "cc2782cc2f49b023bd3fa1224824f06bd3b87f86b1534a0b0a37d01c8cb36739", 1276),
+]
+
+
+def test_trace_output_golden_bytes():
+    for argv, stdin, digest, size in TRACE_GOLDENS:
+        r = run_cli(argv, stdin)
+        assert r.returncode == 0, r.stderr
+        out = r.stdout.encode()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size), argv
+
+
+def assert_input_error(r):
+    """Exit 1, nothing on stdout, a single error line and no traceback."""
+    assert r.returncode == 1
+    assert r.stdout == ""
+    lines = r.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
+
+
+def test_double_rejects_columns_not_a_list_of_lists():
+    assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": 5}'))
+    assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": [[1], 2]}'))
+
+
+def test_sjdt_rejects_inner_not_matching_columns():
+    skew = '{"n": 3, "columns": [[1, 2], [2], [3]], "inner": [0]}'
+    assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,2"], skew))
+    skew = '{"n": 3, "columns": [[1, 2], [2]], "inner": [0, "x"]}'
+    assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,2"], skew))
+
+
+def test_sjdt_rejects_letter_above_rank():
+    assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,1"], '{"n": 3, "columns": [[5]], "inner": [1]}'))
+
+
+def test_psi_rejects_non_quasistandard_input():
+    r = run_cli(["psi", "--n", "3", "--target-shape", "3,1,1"], '{"n": 3, "kind": "sp", "columns": [[1, 2, 3], [1]]}')
+    assert_input_error(r)

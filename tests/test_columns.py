@@ -89,6 +89,10 @@ def test_dble_is_semistandard_pair():
             assert list(left) == sorted(set(left))
             assert list(right) == sorted(set(right))
             assert all(a <= b for a, b in zip(left, right))
+            # the memoised codes are the columns (A, C) and (B, D) themselves
+            _, _, B, C = dble_sets(c)
+            assert left == SymplecticColumn(n, c.A, C).codes()
+            assert right == SymplecticColumn(n, B, c.D).codes()
 
 
 def test_admissible_count_formula():

@@ -230,6 +230,16 @@ def test_expand_rejects_bad_shapes():
         expand_sl((2, 2), (1,), q)  # not below in the weight order
 
 
+def test_expand_rejects_q_not_standard():
+    # (1, 2 | 1) is semi-standard but not quasi-standard at row 1
+    with pytest.raises(TableauError):
+        expand_sl((2, 1, 1), (2, 1), Tableau.sl(3, ((1, 2), (1,))))
+    with pytest.raises(TableauError):
+        expand_sl((2, 1), (2, 1), Tableau.sl(3, ((1, 2), (1,))))  # also when lambda = mu
+    with pytest.raises(TableauError):
+        expand_sl((1, 1, 1), (1, 1), Tableau.sl(3, ((3,), (2,))))  # rows must weakly increase
+
+
 def test_reduce_expand_inverse_rank3():
     from sptab.enumeration import enum_qs_sl, enum_ss_sl, shapes_up_to
 

@@ -209,6 +209,18 @@ def test_psi_rejects_bad_inputs():
         psi((2, 1), (1, 1), Tableau.sp(2, [(2,), (2,)]))
 
 
+def test_psi_rejects_q_not_quasistandard():
+    # [[1,2,3],[1]] is semi-standard but not quasi-standard at row 1, so no
+    # tableau reduces to it
+    q = Tableau.sp(3, [(1, 2, 3), (1,)])
+    with pytest.raises(TableauError):
+        psi((3, 1, 1), (3, 1), q)
+    with pytest.raises(TableauError):
+        psi((3, 1), (3, 1), q)  # also when lambda = mu
+    with pytest.raises(TableauError):
+        psi((2, 2), (2,), Tableau.sp(2, [(2, 3)]))  # [2, 2'] is not admissible
+
+
 def test_slide_pass_requires_nqs():
     q = Tableau.sp(4, [(1, 6, 7, 8)])
     with pytest.raises(TableauError):
@@ -257,8 +269,6 @@ def test_skew_double_golden_display():
     # the displayed double of the skew start: vacated cells double to
     # vacated pairs, the star to a star pair, filled bottoms through the
     # column doubles
-    from sptab.taquin_sp import _double_rows
-
     start = skew(
         4,
         (2, F(), F({1, 2, 3}), 3),
@@ -267,8 +277,8 @@ def test_skew_double_golden_display():
     )
     doubled = []
     for c in start.columns:
-        left, right = _double_rows(c)
-        doubled.extend([left, right])
+        left, right = c.grid()
+        doubled.extend([c.rows(left), c.rows(right)])
     X = None
     assert doubled == [
         [X, X, X, 6, 7, 8],  # 3' 2' 1' under two vacated cells and the star pair
