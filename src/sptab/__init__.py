@@ -36,7 +36,7 @@ from .errors import (
     TableauError,
     TaquinInvariantError,
 )
-from .letters import Letter, bar, code, compare, from_code, sigma_letter_sl
+from .letters import Letter, code, from_code, sigma_letter_sl
 from .plucker import (
     contract,
     contraction_matrix,
@@ -53,7 +53,6 @@ from .tableaux import (
     is_quasistandard_sp,
     is_semistandard_sl,
     is_semistandard_sp,
-    nqs_sl,
     parse,
     pushable_rows,
     render,

@@ -22,6 +22,7 @@ from .enumeration import (
     enum_ss_sp,
     shapes_up_to,
     verify_bijection,
+    weyl_dim_sp,
 )
 from .errors import ParseError, SptabError, TaquinInvariantError
 from .letters import code as letter_code, from_code, letter_from_json, letter_to_json
@@ -35,6 +36,7 @@ from .tableaux import (
     nqs_rows,
     render,
     render_grid,
+    shape_to_multiplicities,
     tableau_from_json,
     tableau_to_json,
 )
@@ -119,18 +121,21 @@ def cmd_check(args) -> int:
     return 0
 
 
-def _parse_shape(text: str) -> tuple[int, ...]:
+def _parse_ints(text: str, what: str = "shape") -> tuple[int, ...]:
+    """Comma-separated integers; argparse hands over an option value of "--" as []."""
+    if not isinstance(text, str):
+        raise SptabError(f"unreadable {what} {text!r}")
     text = text.strip()
     if not text:
         return ()
     try:
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
-        raise SptabError(f"unreadable shape {text!r}") from exc
+        raise SptabError(f"unreadable {what} {text!r}") from exc
 
 
 def cmd_enum(args) -> int:
-    shape = _parse_shape(args.shape)
+    shape = _parse_ints(args.shape)
     if args.predicate == "admissible":
         if len(shape) != 1:
             raise SptabError("admissible enumeration takes a single height")
@@ -172,7 +177,7 @@ def cmd_phi(args) -> int:
 def cmd_psi(args) -> int:
     t = tableau_from_json(_read_input(args))
     _check_rank(args, t)
-    lam = _parse_shape(args.target_shape)
+    lam = _parse_ints(args.target_shape)
     record: list | None = [] if args.trace else None
     return _emit_result(args, {}, psi(lam, t.shape, t, record), record)
 
@@ -209,10 +214,10 @@ def cmd_sjdt(args) -> int:
     inner = data.get("inner", [0] * len(raw_cols))
     if not isinstance(inner, list) or len(inner) != len(raw_cols) or not all(_is_int(v) for v in inner):
         raise ParseError(f"sjdt inner must be a list of {len(raw_cols)} integers, one per column")
-    try:
-        row, col = (int(p) for p in args.star.split(","))
-    except ValueError as exc:
-        raise SptabError(f"unreadable star {args.star!r}") from exc
+    star = _parse_ints(args.star, "star")
+    if len(star) != 2:
+        raise SptabError(f"unreadable star {args.star!r}")
+    row, col = star
     cols = []
     for j, raw in enumerate(raw_cols, start=1):
         letters = [letter_from_json(v) for v in raw if v is not None]
@@ -248,8 +253,13 @@ def cmd_verify(args) -> int:
         if args.jobs > 1:
             from multiprocessing import Pool
 
+            # largest shapes first, one per task, so no worker is left with a
+            # chunk of the big ones; reports go back in shapes_up_to order
+            order = sorted(shapes, key=lambda s: -weyl_dim_sp(args.n, shape_to_multiplicities(s, args.n)))
             with Pool(args.jobs) as pool:
-                reports = pool.starmap(verify_bijection, [(args.n, s) for s in shapes])
+                done = pool.starmap(verify_bijection, [(args.n, s) for s in order], chunksize=1)
+            by_shape = dict(zip(order, done))
+            reports = [by_shape[s] for s in shapes]
         else:
             reports = [verify_bijection(args.n, s) for s in shapes]
         ok = all(r["status"] == "pass" for r in reports)
@@ -268,27 +278,22 @@ def cmd_verify(args) -> int:
         _emit({"n": args.n, "results": results, "status": "pass" if ok else "fail"})
         return 0 if ok else 2
     if args.what == "plucker":
-        mat = contraction_matrix(args.n, args.k)
-        rank = exact_rank(mat)
+        rows = contraction_matrix(args.n, args.k)
+        rank = exact_rank(rows)
         kernel = comb(2 * args.n, args.k) - rank
         expected = comb(2 * args.n, args.k) - comb(2 * args.n, args.k - 2)
         report = {
             "n": args.n,
             "k": args.k,
-            "rows": len(mat),
-            "cols": len(mat[0]) if mat else 0,
+            "rows": len(rows),
+            "cols": comb(2 * args.n, args.k),
             "rank": rank,
             "kernel": kernel,
             "expected_kernel": expected,
             "status": "pass" if kernel == expected else "fail",
         }
         if args.dump_matrix:
-            report["triplets"] = [
-                [r, c, v]
-                for r, row in enumerate(mat)
-                for c, v in enumerate(row)
-                if v
-            ]
+            report["triplets"] = [[r, c, v] for r, row in enumerate(rows) for c, v in row.items()]
         _emit(report)
         return 0 if report["status"] == "pass" else 2
     raise SptabError(f"unknown verification {args.what!r}")

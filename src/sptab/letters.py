@@ -18,9 +18,7 @@ from .errors import LetterError
 
 __all__ = [
     "Letter",
-    "bar",
     "code",
-    "compare",
     "from_code",
     "format_letter",
     "letter_from_json",
@@ -57,17 +55,6 @@ def from_code(c: int, n: int) -> Letter:
     if c <= n:
         return Letter(c, False)
     return Letter(2 * n + 1 - c, True)
-
-
-def compare(a: Letter, b: Letter, n: int) -> int:
-    """-1, 0 or +1 according to the alphabet order at rank n."""
-    ca, cb = code(a, n), code(b, n)
-    return (ca > cb) - (ca < cb)
-
-
-def bar(letter: Letter) -> Letter:
-    """Toggle the bar; an order-reversing involution."""
-    return Letter(letter.magnitude, not letter.barred)
 
 
 def sigma_letter_sl(t: int, n: int) -> int:

@@ -11,8 +11,9 @@ the two sides cannot drift apart.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
-from math import comb
+from math import comb, gcd
 
 from .errors import ShapeError
 
@@ -28,6 +29,7 @@ __all__ = [
 
 Wedge = tuple[int, ...]
 FormalVector = dict[Wedge, int]
+Row = dict[int, int]
 
 
 def wedge_basis(n: int, k: int) -> list[Wedge]:
@@ -50,74 +52,63 @@ def contract(w: Wedge, n: int) -> FormalVector:
         for j in range(i + 1, len(w)):
             if w[i] + w[j] != 2 * n + 1:
                 continue
+            # the letters of w are distinct, so each pair leaves its own target
             target = w[:i] + w[i + 1 : j] + w[j + 1 :]
-            sign = -1 if (i + j + 1) % 2 else 1  # (-1)^(i+j-1) with 1-based i, j
-            coeff = out.get(target, 0) + sign
-            if coeff:
-                out[target] = coeff
-            else:
-                out.pop(target, None)
+            out[target] = -1 if (i + j + 1) % 2 else 1  # (-1)^(i+j-1) with 1-based i, j
     return out
 
 
-def internal_relations(n: int, k: int) -> list[FormalVector]:
-    """One relation per degree-(k-2) basis wedge: the transpose row of the
-    contraction matrix, i.e. the signed sum of the wedges obtained by
-    inserting a bar pair."""
+def contraction_matrix(n: int, k: int) -> list[Row]:
+    """One sparse row per degree-(k-2) wedge, {column index: coefficient}
+    over the degree-k wedges; both bases are in lexicographic order."""
     if not 2 <= k <= n:
         raise ShapeError(f"degree {k} outside [2, {n}]")
-    relations = []
-    for e in wedge_basis(n, k - 2):
-        rel: FormalVector = {}
-        present = set(e)
-        for m in range(1, n + 1):
-            lo, hi = m, 2 * n + 1 - m
-            if lo in present or hi in present:
-                continue
-            w = tuple(sorted(e + (lo, hi)))
-            coeff = contract(w, n).get(e, 0)
-            if coeff:
-                rel[w] = coeff
-        relations.append(rel)
-    return relations
-
-
-def contraction_matrix(n: int, k: int) -> list[list[int]]:
-    """Rows indexed by degree-(k-2) wedges, columns by degree-k wedges."""
-    if not 2 <= k <= n:
-        raise ShapeError(f"degree {k} outside [2, {n}]")
-    cols = {w: c for c, w in enumerate(wedge_basis(n, k))}
-    rows = {e: r for r, e in enumerate(wedge_basis(n, k - 2))}
-    mat = [[0] * len(cols) for _ in rows]
-    for w, c in cols.items():
+    index = {e: r for r, e in enumerate(wedge_basis(n, k - 2))}
+    rows: list[Row] = [{} for _ in index]
+    for c, w in enumerate(wedge_basis(n, k)):
         for e, coeff in contract(w, n).items():
-            mat[rows[e]][c] = coeff
-    return mat
+            rows[index[e]][c] = coeff
+    return rows
 
 
-def exact_rank(matrix: list[list[int]]) -> int:
-    """Rank over the rationals by fraction-free integer elimination."""
-    m = [row[:] for row in matrix]
-    if not m or not m[0]:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, nrows) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        a = m[row][col]
-        for r in range(row + 1, nrows):
-            b = m[r][col]
-            if b:
-                m[r] = [a * x - b * y for x, y in zip(m[r], m[row])]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+def internal_relations(n: int, k: int) -> list[FormalVector]:
+    """One relation per degree-(k-2) basis wedge: its row of the contraction
+    matrix, i.e. the signed sum of the wedges obtained by inserting a bar
+    pair."""
+    rows = contraction_matrix(n, k)
+    wedges = wedge_basis(n, k)
+    return [{wedges[c]: v for c, v in row.items()} for row in rows]
+
+
+def exact_rank(rows: Iterable[Row]) -> int:
+    """Rank over the rationals of sparse integer rows.
+
+    Each row is reduced, fraction-free, against pivot rows keyed by their
+    leading (least) column.  The two leading coefficients are divided by
+    their gcd and every reduced row by the gcd of its entries, which keeps
+    the entries small.
+    """
+    pivots: dict[int, Row] = {}
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            g = gcd(*row.values())
+            row = {c: v // g for c, v in row.items()}
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = row
+                break
+            g = gcd(piv[lead], row[lead])
+            a, b = piv[lead] // g, row[lead] // g
+            row = {c: a * v for c, v in row.items()}
+            for c, v in piv.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
 
 
 def relation_rank(n: int, k: int) -> int:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .columns import SymplecticColumn, dble, is_admissible
 from .errors import ParseError, ShapeError, TableauError
@@ -45,7 +45,6 @@ __all__ = [
     "multiplicities_to_shape",
     "nqs_grid",
     "nqs_rows",
-    "nqs_sl",
     "nqs_with_height",
     "parse",
     "pushable_rows",
@@ -269,19 +268,23 @@ def dble_tableau(t: Tableau) -> Grid:
 # grid predicates
 
 
-def first_grid_violation(grid: Grid) -> tuple[str, int, int] | None:
-    """First semistandardness violation as (kind, row, col), 1-based; None if clean."""
-    hs = tuple(len(c) for c in grid)
-    for j in range(1, len(hs)):
-        if hs[j] > hs[j - 1]:
+def first_grid_violation(grid: Sequence[Sequence[int | None]]) -> tuple[str, int, int] | None:
+    """First semistandardness violation as (kind, row, col), 1-based; None if clean.
+
+    A None cell (vacated or star, in a skew grid) is skipped: only pairs of
+    filled neighbours are compared.
+    """
+    for j in range(1, len(grid)):
+        if len(grid[j]) > len(grid[j - 1]):
             return ("shape", 1, j + 1)
     for j, col in enumerate(grid):
         for i in range(1, len(col)):
-            if col[i] <= col[i - 1]:
+            if col[i] is not None and col[i - 1] is not None and col[i] <= col[i - 1]:
                 return ("column", i + 1, j + 1)
     for j in range(1, len(grid)):
-        for i in range(len(grid[j])):
-            if grid[j - 1][i] > grid[j][i]:
+        left, right = grid[j - 1], grid[j]
+        for i in range(len(right)):
+            if left[i] is not None and right[i] is not None and left[i] > right[i]:
                 return ("row", i + 1, j + 1)
     return None
 
@@ -336,10 +339,6 @@ def is_semistandard_sl(t: Tableau) -> bool:
     if t.kind != "sl":
         raise TableauError("expects a plain-letter tableau")
     return is_semistandard_grid(t.grid())
-
-
-def nqs_sl(t: Tableau, s: int) -> bool:
-    return nqs_grid(t.grid(), s)
 
 
 def is_quasistandard_sl(t: Tableau) -> bool:

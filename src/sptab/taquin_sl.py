@@ -29,6 +29,7 @@ from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
 from .tableaux import (
     Tableau,
+    first_grid_violation,
     is_quasistandard_sl,
     is_semistandard_sl,
     nqs_grid,
@@ -142,21 +143,8 @@ class _SkewTableau:
 
 def _is_semistandard_skew(state: _SkewTableau) -> bool:
     """The columns of the model's grid are semi-standard away from star and
-    vacated cells.
-
-    Only letter-filled neighbours are compared: pairs separated by a star
-    or a vacated cell are skipped.
-    """
-    gcols = [c.rows(codes) for c in state.columns for codes in c.grid()]
-    for col in gcols:
-        for a, b in zip(col, col[1:]):
-            if a is not None and b is not None and b <= a:
-                return False
-    for cl, cr in zip(gcols, gcols[1:]):
-        for a, b in zip(cl, cr):
-            if a is not None and b is not None and a > b:
-                return False
-    return True
+    vacated cells, which are None in the rows and skipped."""
+    return first_grid_violation([c.rows(codes) for c in state.columns for codes in c.grid()]) is None
 
 
 # ---------------------------------------------------------------------------

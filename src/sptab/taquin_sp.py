@@ -59,7 +59,6 @@ __all__ = [
     "sjdt_step",
     "sjdt_to_rest",
     "slide_pass_sp",
-    "state_from_tableau",
 ]
 
 
@@ -134,18 +133,8 @@ class SpSkewTableau(_SkewTableau):
             raise TableauError("column rank mismatch")
 
 
-def state_from_tableau(t: Tableau) -> SpSkewTableau:
-    if t.kind != "sp":
-        raise TableauError("expects a symplectic tableau")
-    return SpSkewTableau(t.n, tuple(SpSkewColumn.of(t.n, c) for c in t.columns))
-
-
 def is_semistandard_skew_sp(state: SpSkewTableau) -> bool:
-    """The double is semi-standard away from star and vacated cells.
-
-    Only letter-filled neighbours are compared: pairs separated by a star
-    or a vacated cell are skipped.
-    """
+    """The double is semi-standard away from star and vacated cells."""
     return _is_semistandard_skew(state)
 
 

@@ -1,7 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+
+from hypothesis import given, settings, strategies as st
+
+from sptab.cli import main
+from sptab.enumeration import enum_qs_sp, enum_ss_sp, shapes_up_to
+from sptab.tableaux import tableau_to_json
 
 RUN = [sys.executable, "-m", "sptab.cli"]
 
@@ -162,6 +170,97 @@ def test_sjdt_rejects_letter_above_rank():
     assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,1"], '{"n": 3, "columns": [[5]], "inner": [1]}'))
 
 
+def test_double_dash_option_value_is_an_input_error():
+    # argparse hands "--shape=--" over as an empty list, not a string
+    assert_input_error(run_cli(["enum", "--n", "3", "--shape=--", "--predicate", "ss-sp"]))
+    assert_input_error(run_cli(["psi", "--n", "4", "--target-shape=--"], Q_EX4))
+    assert_input_error(run_cli(["sjdt", "--n", "4", "--star=--"], SKEW_ZERO))
+
+
 def test_psi_rejects_non_quasistandard_input():
     r = run_cli(["psi", "--n", "3", "--target-shape", "3,1,1"], '{"n": 3, "kind": "sp", "columns": [[1, 2, 3], [1]]}')
     assert_input_error(r)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main in process: well-formed argument vectors, random input
+
+LETTER = st.integers(-5, 5) | st.just("-0") | st.fixed_dictionaries({"m": st.integers(-1, 5), "b": st.booleans()})
+JSONISH = st.recursive(
+    st.none() | st.booleans() | st.integers(-6, 6) | st.text(max_size=3) | LETTER,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["n", "kind", "columns", "inner", "m", "b"]), inner, max_size=4),
+    max_leaves=12,
+)
+SPEC = st.text(alphabet="0123456789,- x", max_size=5)
+PREDICATE = st.sampled_from(["ss-sp", "qs-sp", "ss-sl", "qs-sl", "admissible"])
+
+
+@st.composite
+def requests(draw):
+    """A well-formed argument vector and random stdin, often a tableau or a
+    skew tableau of the requested rank; real tableaux, target shapes and
+    stars reach the slides."""
+    command = draw(st.sampled_from(["double", "check", "phi", "psi", "sjdt", "enum"]))
+    n = draw(st.integers(-1, 4))
+    shapes = [",".join(map(str, s)) for s in shapes_up_to(max(n, 1), 4)]
+    argv = [command, "--n", str(n), "--format", draw(st.sampled_from(["json", "ascii"]))]
+    if command in ("check", "enum"):
+        argv += ["--predicate", draw(PREDICATE)]
+    if command == "enum":
+        argv += [f"--shape={draw(SPEC)}"] + draw(st.sampled_from([[], ["--count"]]))
+    if command == "psi":
+        argv.append(f"--target-shape={draw(SPEC | st.sampled_from(shapes))}")
+    if command == "sjdt":
+        argv.append(f"--star={draw(SPEC | st.just('1,1'))}")
+    if command in ("phi", "psi") and draw(st.booleans()):
+        argv.append("--trace")
+    # columns of distinct letters in alphabet order, longest first, or anything
+    rank = max(n, 1)
+    ordered = st.lists(st.integers(-rank, rank).filter(bool), unique=True, max_size=4).map(
+        lambda col: sorted(col, key=lambda v: v if v > 0 else 2 * rank + 1 + v)
+    )
+    columns = st.lists(ordered, max_size=3).map(lambda cols: sorted(cols, key=len, reverse=True))
+    tableau = st.fixed_dictionaries(
+        {
+            "n": st.just(n) | st.integers(0, 4),
+            "kind": st.sampled_from(["sp", "sp", "sl", "x"]),
+            "columns": columns | st.lists(st.lists(LETTER, max_size=4), max_size=3),
+        },
+        optional={"inner": st.lists(st.integers(-1, 3), max_size=3)},
+    )
+    choices = [tableau.map(json.dumps), tableau.map(json.dumps), JSONISH.map(json.dumps), st.text(max_size=8)]
+    if n >= 1:
+        # a semi-standard (quasi-standard for psi) tableau; sjdt starts it
+        # with the star over column 1
+        shape = tuple(map(int, draw(st.sampled_from(shapes[1:])).split(",")))
+        real = (enum_qs_sp if command == "psi" else enum_ss_sp)(n, shape)
+        if real:
+            t = tableau_to_json(draw(st.sampled_from(real)))
+            if command == "sjdt":
+                t["inner"] = [1] + [0] * (len(t["columns"]) - 1)
+            choices += [st.just(json.dumps(t))] * 3
+    stdin = draw(draw(st.sampled_from(choices)))
+    return argv, stdin
+
+
+def run_main(argv, stdin):
+    out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved
+    return code, err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(request=requests())
+def test_main_fuzz_exits_cleanly(request):
+    argv, stdin = request
+    code, err = run_main(argv, stdin)
+    assert code in (0, 1), (argv, stdin, err)
+    if code == 1:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, stdin, err)

@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
 
+from sptab.enumeration import enum_admissible_columns
 from sptab.errors import ShapeError
 from sptab.plucker import (
     contract,
@@ -38,6 +40,15 @@ def contract_oracle(w, n):
             rest = tuple(v for p, v in enumerate(w, start=1) if p not in (i, j))
             out[rest] = out.get(rest, 0) + om * sign
     return {k_: v for k_, v in out.items() if v}
+
+
+def sparse(matrix):
+    return [{c: v for c, v in enumerate(row) if v} for row in matrix]
+
+
+def dense_contraction(n, k):
+    """The contraction matrix written out densely from the literal expansion."""
+    return [[contract_oracle(w, n).get(e, 0) for w in wedge_basis(n, k)] for e in wedge_basis(n, k - 2)]
 
 
 def wedge_sort_sign(seq):
@@ -90,7 +101,7 @@ def test_internal_relations_rank2():
     rels = internal_relations(2, 2)
     assert len(rels) == 1
     assert set(rels[0]) == {(1, 4), (2, 3)}
-    assert exact_rank([[rels[0][(1, 4)], rels[0][(2, 3)]]]) == 1
+    assert exact_rank(sparse([[rels[0][(1, 4)], rels[0][(2, 3)]]])) == 1
 
 
 def test_relation_support_contains_bar_pair():
@@ -160,22 +171,54 @@ def rank_oracle(matrix):
 
 
 def test_exact_rank_small_cases():
-    assert exact_rank([]) == 0
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[1, 2], [3, 4]]) == 2
-    assert exact_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+    assert exact_rank(sparse([])) == 0
+    assert exact_rank(sparse([[0, 0], [0, 0]])) == 0
+    assert exact_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert exact_rank(sparse([[1, 2], [3, 4]])) == 2
+    assert exact_rank(sparse([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
 
 
 def test_exact_rank_against_fraction_oracle():
-    import random
-
     rng = random.Random(7)
     for _ in range(50):
         rows = rng.randint(1, 6)
         cols = rng.randint(1, 6)
         m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
-        assert exact_rank(m) == rank_oracle(m)
+        assert exact_rank(sparse(m)) == rank_oracle(m)
     for n, k in ((3, 3), (4, 4)):
-        m = contraction_matrix(n, k)
-        assert exact_rank(m) == rank_oracle(m)
+        m = dense_contraction(n, k)
+        assert contraction_matrix(n, k) == sparse(m)
+        assert exact_rank(sparse(m)) == rank_oracle(m)
+
+
+def test_exact_rank_random_sparse_rows():
+    # rows as the rank sees them: explicit zeros, empty rows, repeats,
+    # multiples and sums of earlier rows, large entries
+    rng = random.Random(11)
+    for _ in range(200):
+        ncols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(0, 10)):
+            pick = rng.random()
+            if pick < 0.1:
+                rows.append({})
+            elif pick < 0.2:
+                rows.append({rng.randrange(ncols): 0})
+            elif pick < 0.4 and rows:
+                a, b = rng.choice(rows), rng.choice(rows)
+                f, g = rng.randint(-4, 4), rng.randint(-4, 4)
+                rows.append({c: f * a.get(c, 0) + g * b.get(c, 0) for c in set(a) | set(b)})
+            else:
+                cells = rng.sample(range(ncols), rng.randint(1, min(4, ncols)))
+                rows.append({c: rng.choice((-1, 1)) * rng.randint(1, 10**rng.randint(1, 12)) for c in cells})
+        dense = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        kept = [dict(row) for row in rows]
+        assert exact_rank(rows) == rank_oracle(dense)
+        assert rows == kept  # the input rows are not modified
+
+
+def test_kernel_dimension_past_exhaustive_range():
+    for n in range(5, 9):
+        for k in range(2, n + 1):
+            formula = comb(2 * n, k) - comb(2 * n, k - 2)
+            assert kernel_dimension(n, k) == len(enum_admissible_columns(n, k)) == formula

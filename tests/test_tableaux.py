@@ -15,7 +15,6 @@ from sptab.tableaux import (
     is_semistandard_sp,
     multiplicities_to_shape,
     nqs_grid,
-    nqs_sl,
     nqs_with_height,
     parse,
     pushable_rows,
@@ -124,9 +123,18 @@ def test_semistandard_grid():
     assert is_semistandard_grid(((1, 2, 4), (1, 3, 5), (2, 4), (3, 5)))
     assert not is_semistandard_grid(((2, 1),))
     assert first_grid_violation(((2, 1),)) == ("column", 2, 1)
+    assert first_grid_violation(((1, 1),)) == ("column", 2, 1)
     assert is_semistandard_grid(((1,), (1,), (1,)))
     assert first_grid_violation(((2,), (1,))) == ("row", 1, 2)
     assert first_grid_violation(((1,), (1, 2))) == ("shape", 1, 2)
+
+
+def test_first_grid_violation_skips_empty_cells():
+    # None is a vacated or star cell of a skew grid; only filled neighbours
+    # are compared, across it neither down a column nor along a row
+    assert first_grid_violation(((None, 2, None, 1), (None, None))) is None
+    assert first_grid_violation(((None, 2, None, 1), (None, 1))) == ("row", 2, 2)
+    assert first_grid_violation(((None, 3, 4), (2, None, 3))) == ("row", 3, 2)
 
 
 def test_quasistandard_split_golden():
@@ -140,12 +148,12 @@ def test_quasistandard_split_golden():
 
 def test_nqs_sl_examples():
     t = Tableau.sl(3, ((1, 3), (2,)))
-    assert nqs_sl(t, 1)
+    assert nqs_grid(t.grid(), 1)
     assert not is_quasistandard_sl(t)
     assert is_quasistandard_sl(Tableau.sl(3, ((3,),)))
-    assert not nqs_sl(Tableau.sl(3, ((2, 3),)), 1)
+    assert not nqs_grid(Tableau.sl(3, ((2, 3),)).grid(), 1)
     empty = Tableau.sl(3, ())
-    assert all(not nqs_sl(empty, s) for s in range(1, 4))
+    assert all(not nqs_grid(empty.grid(), s) for s in range(1, 4))
     assert is_quasistandard_sl(empty)
 
 

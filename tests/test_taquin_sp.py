@@ -14,7 +14,6 @@ from sptab.taquin_sp import (
     sjdt_step,
     sjdt_to_rest,
     slide_pass_sp,
-    state_from_tableau,
     state_to_json,
     trace_to_json,
 )
@@ -98,10 +97,10 @@ def test_lone_star_sheds():
 
 
 def test_sigma_sp_swaps_content_and_rotates():
-    t = Tableau.sp(4, [(3,)])
-    out = sigma_sp(state_from_tableau(t))
+    start = skew(4, (0, F({3}), F()))
+    out = sigma_sp(start)
     assert out == skew(4, (0, F(), F({3})))
-    assert sigma_sp(out) == state_from_tableau(t)
+    assert sigma_sp(out) == start
 
 
 def test_sigma_sp_involution_on_chain_states():
