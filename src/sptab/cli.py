@@ -248,6 +248,8 @@ def cmd_sjdt(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.n < 1:
+        raise SptabError(f"rank must be positive, got --n {args.n}")
     if args.what == "bijection":
         shapes = shapes_up_to(args.n, args.max_boxes)
         if args.jobs > 1:

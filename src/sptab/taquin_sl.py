@@ -19,11 +19,22 @@ horizontal move (`pull`) and the letter reversal (`_reversed`).  The
 classical model SlSkewColumn is one plain letter column, moved by a swap
 and reversed by t -> n+1-t; the symplectic model SpSkewColumn (taquin_sp)
 is a column double, moved by surgery and reversed by swapping A and D.
+
+A slide step touches only the column j the star leaves and column j+1.
+A vertical move reframes column j around the same letters; a horizontal
+move puts in the two columns the model's move returns.  The new state
+checks its frame (outer and inner heights weakly decreasing, at most one
+star, and in the symplectic model one rank) only where the new columns
+meet their neighbours, and
+keeps the star's position and each column's height.  When a slide is
+checked, the state after its first move is checked whole and each later
+state only on columns j-1 .. j+2, which decides the whole check because
+every other column and pair of neighbours is as in the state before.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
@@ -60,19 +71,25 @@ __all__ = [
 
 class _SkewColumn:
     """`inner` vacated cells on top, then the `size` filled cells in row
-    order with the star cell (at `star_row`, if any) among them."""
+    order with the star cell (at `star_row`, if any) among them.  The
+    height is stored when the frame is checked."""
 
     has_zero = False
 
     def _check_frame(self) -> None:
         if self.inner < 0:
             raise TableauError("negative inner height")
-        if self.star_row is not None and not self.inner < self.star_row <= self.height:
-            raise TableauError(f"star row {self.star_row} outside ({self.inner}, {self.height}]")
+        height = self.inner + self.size + (self.star_row is not None)
+        if self.star_row is not None and not self.inner < self.star_row <= height:
+            raise TableauError(f"star row {self.star_row} outside ({self.inner}, {height}]")
+        object.__setattr__(self, "height", height)
 
-    @property
-    def height(self) -> int:
-        return self.inner + self.size + (self.star_row is not None)
+    def reframed(self, inner: int, star_row: int | None):
+        """The same letters under a new frame; only the frame is checked."""
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, inner=inner, star_row=star_row)
+        new._check_frame()
+        return new
 
     def rows(self, codes: tuple[int, ...]) -> list[int | None]:
         """Codes of the filled cells placed by row (index 0 = row 1), None
@@ -96,15 +113,32 @@ class _SkewColumn:
 
 @dataclass(frozen=True)
 class _SkewTableau:
+    """Columns whose outer and inner heights weakly decrease, with at most
+    one star; `star` is its (row, col), 1-based, or None."""
+
     n: int
     columns: tuple
 
     def __post_init__(self) -> None:
-        for name, hs in (("outer", self.heights), ("inner", self.inners)):
-            if any(b > a for a, b in zip(hs, hs[1:])):
-                raise TableauError(f"{name} heights {hs} not weakly decreasing")
-        if sum(1 for c in self.columns if c.star_row is not None) > 1:
-            raise TableauError("more than one star")
+        self._check_frame(0, len(self.columns), None)
+
+    def _check_frame(self, lo: int, hi: int, star: tuple[int, int] | None) -> None:
+        """Check columns[lo:hi] and the pairs they form with their neighbours,
+        given the star outside them (the rest of the frame is known to hold),
+        and store the star.  The messages name the whole state."""
+        cols = self.columns
+        pairs = range(max(lo, 1), min(hi + 1, len(cols)))
+        for name, attr in (("outer", "height"), ("inner", "inner")):
+            for k in pairs:
+                if getattr(cols[k], attr) > getattr(cols[k - 1], attr):
+                    hs = tuple(getattr(c, attr) for c in cols)
+                    raise TableauError(f"{name} heights {hs} not weakly decreasing")
+        for k in range(lo, hi):
+            if cols[k].star_row is not None:
+                if star is not None:
+                    raise TableauError("more than one star")
+                star = (cols[k].star_row, k + 1)
+        object.__setattr__(self, "star", star)
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -115,22 +149,22 @@ class _SkewTableau:
         return tuple(c.inner for c in self.columns)
 
     @property
-    def star(self) -> tuple[int, int] | None:
-        """(row, col), 1-based, or None."""
-        for j, c in enumerate(self.columns):
-            if c.star_row is not None:
-                return (c.star_row, j + 1)
-        return None
-
-    @property
     def zero_present(self) -> bool:
         return any(c.has_zero for c in self.columns)
 
     def replace_col(self, col: int, *new):
-        """Columns col, col+1, ... (1-based) replaced by the given ones."""
+        """Columns col, col+1, ... (1-based) replaced by the given ones; the
+        frame is checked only where the new columns touch it."""
+        if not 1 <= col <= len(self.columns):
+            raise TableauError(f"column {col} outside 1..{len(self.columns)}")
+        lo, hi = col - 1, col - 1 + len(new)
         cols = list(self.columns)
-        cols[col - 1 : col - 1 + len(new)] = new
-        return type(self)(self.n, tuple(cols))
+        cols[lo:hi] = new
+        state = object.__new__(type(self))
+        state.__dict__.update(n=self.n, columns=tuple(cols))
+        star = self.star
+        state._check_frame(lo, hi, None if star is None or lo < star[1] <= hi else star)
+        return state
 
     def rotated(self):
         """Rotate 180 degrees in the bounding rectangle, star to star; the
@@ -141,10 +175,13 @@ class _SkewTableau:
         return type(self)(self.n, tuple(c.turned(H, self.n) for c in reversed(self.columns)))
 
 
-def _is_semistandard_skew(state: _SkewTableau) -> bool:
+def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> bool:
     """The columns of the model's grid are semi-standard away from star and
-    vacated cells, which are None in the rows and skipped."""
-    return first_grid_violation([c.rows(codes) for c in state.columns for codes in c.grid()]) is None
+    vacated cells, which are None in the rows and skipped.  With `cols` (a
+    range of 1-based model columns) only those columns and the pairs of
+    neighbours among them are read."""
+    columns = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
+    return first_grid_violation([c.rows(codes) for c in columns for codes in c.grid()]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +213,18 @@ def _step(state: _SkewTableau):
         return None
     col = state.columns[j - 1]
     if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
-        return state.replace_col(j, replace(col, star_row=i + 1))
+        return state.replace_col(j, col.reframed(col.inner, i + 1))
     return state.replace_col(j, *col.pull(state.columns[j], i))
 
 
 def _to_rest(state, step, record: list | None = None, check=None):
     """Slide with `step` until the star rests; returns the state and the
-    star's path.  States go to `record` when given; `check` must hold on
-    every state after a move, else the slide broke an invariant."""
+    star's path.  States go to `record` when given; `check(state, cols)`
+    must hold on every state after a move, else the slide broke an
+    invariant.  The first move's state is checked whole.  A later move
+    from column j changes only columns j and j+1 of a state that passed,
+    so it is checked on columns j-1 .. j+2: the changed columns and their
+    neighbours on either side, which gives the answer of the whole check."""
     if record is not None:
         record.append(state)
     path = [state.star]
@@ -191,11 +232,12 @@ def _to_rest(state, step, record: list | None = None, check=None):
         nxt = step(state)
         if nxt is None:
             return state, path
+        j = path[-1][1]
         state = nxt
         path.append(state.star)
         if record is not None:
             record.append(state)
-        if check is not None and not check(state):
+        if check is not None and not check(state, None if len(path) == 2 else range(j - 1, j + 3)):
             raise TaquinInvariantError(f"slide left a non-semi-standard state at {state.star}")
 
 
@@ -208,7 +250,8 @@ def shed(state):
     below, right = _neighbours(state, i, j)
     if below or right:
         raise TableauError("star is not resting at an outer corner")
-    return state.replace_col(j, replace(state.columns[j - 1], star_row=None))
+    col = state.columns[j - 1]
+    return state.replace_col(j, col.reframed(col.inner, None))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +336,7 @@ def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = N
         c = state.columns[col - 1]
         if c.inner != row:
             raise TaquinInvariantError(f"star {k} at ({row},{col}) is not the bottom vacated cell")
-        state = state.replace_col(col, replace(c, inner=c.inner - 1, star_row=row))
+        state = state.replace_col(col, c.reframed(c.inner - 1, row))
         rest, path = to_rest(state)
         if rest.zero_present:
             raise TaquinInvariantError("extended letter 0 appeared during the inverse")

@@ -30,11 +30,12 @@ from .columns import (
 from .errors import TableauError
 from .letters import from_code, letter_to_json
 from .tableaux import (
+    Grid,
     Tableau,
     dble_tableau,
     is_quasistandard_sp,
     is_semistandard_sp,
-    pushable_rows,
+    nqs_rows,
 )
 from .taquin_sl import (
     _expand,
@@ -78,10 +79,17 @@ class SpSkewColumn(_SkewColumn):
 
     def __post_init__(self) -> None:
         content = SymplecticColumn(self.n, self.A, self.D)
-        object.__setattr__(self, "A", content.A)
-        object.__setattr__(self, "D", content.D)
-        object.__setattr__(self, "content", content)
+        self.__dict__.update(A=content.A, D=content.D, content=content)
         self._check_frame()
+
+    @classmethod
+    def _holding(cls, content: SymplecticColumn, inner: int, star_row: int | None = None) -> "SpSkewColumn":
+        """The skew column around a content that is already a checked
+        SymplecticColumn: only the frame is checked."""
+        new = object.__new__(cls)
+        new.__dict__.update(n=content.n, inner=inner, A=content.A, D=content.D, star_row=star_row, content=content)
+        new._check_frame()
+        return new
 
     @property
     def size(self) -> int:
@@ -105,10 +113,7 @@ class SpSkewColumn(_SkewColumn):
         else:
             v = 2 * n + 1 - alpha
             new, new_right = surgery_add_D(self.content, v), surgery_remove_C(right.content, v)
-        return (
-            SpSkewColumn(n, self.inner, new.A, new.D),
-            SpSkewColumn(n, right.inner, new_right.A, new_right.D, row),
-        )
+        return SpSkewColumn._holding(new, self.inner), SpSkewColumn._holding(new_right, right.inner, row)
 
     def _reversed(self, inner: int, star: int | None, n: int) -> "SpSkewColumn":
         return SpSkewColumn(self.n, inner, self.D, self.A, star)
@@ -120,22 +125,25 @@ class SpSkewColumn(_SkewColumn):
 
     @classmethod
     def of(cls, n: int, col: SymplecticColumn) -> "SpSkewColumn":
-        return cls(n, 0, col.A, col.D)
+        """A column of a rank-n tableau, its checked content kept (a state
+        of rank n rejects a column of another rank)."""
+        return cls._holding(col, 0)
 
 
 class SpSkewTableau(_SkewTableau):
     column = SpSkewColumn
     kind = "sp"
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if any(c.n != self.n for c in self.columns):
+    def _check_frame(self, lo: int, hi: int, star: tuple[int, int] | None) -> None:
+        super()._check_frame(lo, hi, star)
+        if any(c.n != self.n for c in self.columns[lo:hi]):
             raise TableauError("column rank mismatch")
 
 
-def is_semistandard_skew_sp(state: SpSkewTableau) -> bool:
-    """The double is semi-standard away from star and vacated cells."""
-    return _is_semistandard_skew(state)
+def is_semistandard_skew_sp(state: SpSkewTableau, cols: range | None = None) -> bool:
+    """The double is semi-standard away from star and vacated cells; with
+    `cols` (a range of 1-based columns), within those columns only."""
+    return _is_semistandard_skew(state, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -171,24 +179,26 @@ def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
 # reduction and its inverse
 
 
-def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
+def slide_pass_sp(t: Tableau, s: int, record: list | None = None, *, grid: Grid | None = None) -> Tableau:
     """One reduction pass at row s: prepend a trivial column with s-1
     vacated cells and the star at s, slide to rest, strip it; the three
-    invariants from theory are enforced as hard traps."""
-    return _slide_pass(
-        SpSkewTableau, t, s, dble_tableau(t), lambda state: sjdt_to_rest(state, record, verify=True)
-    )
+    invariants from theory are enforced as hard traps.  `grid` is the
+    double of t when the caller has computed it already."""
+    grid = dble_tableau(t) if grid is None else grid
+    return _slide_pass(SpSkewTableau, t, s, grid, lambda state: sjdt_to_rest(state, record, verify=True))
 
 
 def phi_passes(t: Tableau, record: list | None = None):
-    """Yield (s, tableau-after-pass) for each reduction pass of phi."""
+    """Yield (s, tableau-after-pass) for each reduction pass of phi; each
+    tableau is doubled once, for its pushable rows and for the pass."""
     cur = t
     while True:
-        rows = pushable_rows(cur)
+        grid = dble_tableau(cur)
+        rows = nqs_rows(grid)
         if not rows:
             return
         s = max(rows)
-        cur = slide_pass_sp(cur, s, record)
+        cur = slide_pass_sp(cur, s, record, grid=grid)
         yield s, cur
 
 

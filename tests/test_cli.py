@@ -177,6 +177,13 @@ def test_double_dash_option_value_is_an_input_error():
     assert_input_error(run_cli(["sjdt", "--n", "4", "--star=--"], SKEW_ZERO))
 
 
+def test_verify_rejects_rank_below_one():
+    # --n -1 used to report a pass over nothing, --n -2 a multiplicity error
+    for n in ("0", "-1", "-2"):
+        assert_input_error(run_cli(["verify", "dims", "--n", n, "--max-k", "3"]))
+        assert_input_error(run_cli(["verify", "bijection", "--n", n, "--max-boxes", "1"]))
+
+
 def test_psi_rejects_non_quasistandard_input():
     r = run_cli(["psi", "--n", "3", "--target-shape", "3,1,1"], '{"n": 3, "kind": "sp", "columns": [[1, 2, 3], [1]]}')
     assert_input_error(r)

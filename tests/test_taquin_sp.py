@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
-from sptab.errors import ShapeError, TableauError
-from sptab.tableaux import Tableau, tableau_to_json
+from sptab import taquin_sp
+from sptab.cli import main
+from sptab.errors import ShapeError, TableauError, TaquinInvariantError
+from sptab.tableaux import Tableau, dumps, tableau_to_json
 from sptab.taquin_sp import (
     SpSkewColumn,
     SpSkewTableau,
@@ -28,6 +31,9 @@ def skew(n, *cols):
 # ---------------------------------------------------------------------------
 # the two rank-4 slide chains
 
+CHAIN_ONE = skew(4, (2, F(), F({1, 2, 3}), 3), (0, F({1, 3}), F({1, 3})), (0, F({2, 4}), F({2})))
+CHAIN_TWO = skew(4, (1, F(), F({1, 2, 3, 4}), 2), (0, F({1, 4}), F({1, 3})), (0, F({3, 4}), F()))
+
 
 def run_chain(state):
     states = [state]
@@ -39,12 +45,7 @@ def run_chain(state):
 
 
 def test_slide_chain_one_golden():
-    start = skew(
-        4,
-        (2, F(), F({1, 2, 3}), 3),
-        (0, F({1, 3}), F({1, 3})),
-        (0, F({2, 4}), F({2})),
-    )
+    start = CHAIN_ONE
     states = run_chain(start)
     assert [s.star for s in states] == [(3, 1), (3, 2), (3, 3)]
     assert states[1] == skew(
@@ -62,12 +63,7 @@ def test_slide_chain_one_golden():
 
 
 def test_slide_chain_two_golden_with_zero():
-    start = skew(
-        4,
-        (1, F(), F({1, 2, 3, 4}), 2),
-        (0, F({1, 4}), F({1, 3})),
-        (0, F({3, 4}), F()),
-    )
+    start = CHAIN_TWO
     states = run_chain(start)
     assert [s.star for s in states] == [(2, 1), (2, 2), (2, 3)]
     assert states[1] == skew(
@@ -104,12 +100,7 @@ def test_sigma_sp_swaps_content_and_rotates():
 
 
 def test_sigma_sp_involution_on_chain_states():
-    start = skew(
-        4,
-        (2, F(), F({1, 2, 3}), 3),
-        (0, F({1, 3}), F({1, 3})),
-        (0, F({2, 4}), F({2})),
-    )
+    start = CHAIN_ONE
     for s in run_chain(start):
         assert sigma_sp(sigma_sp(s)) == s
 
@@ -268,12 +259,7 @@ def test_skew_double_golden_display():
     # the displayed double of the skew start: vacated cells double to
     # vacated pairs, the star to a star pair, filled bottoms through the
     # column doubles
-    start = skew(
-        4,
-        (2, F(), F({1, 2, 3}), 3),
-        (0, F({1, 3}), F({1, 3})),
-        (0, F({2, 4}), F({2})),
-    )
+    start = CHAIN_ONE
     doubled = []
     for c in start.columns:
         left, right = c.grid()
@@ -287,3 +273,155 @@ def test_skew_double_golden_display():
         [2, 4, 6],  # 2 4 3'
         [3, 4, 7],  # 3 4 2'
     ]
+
+
+# ---------------------------------------------------------------------------
+# the windowed invariant check, the traps, and the frame checked in place
+
+
+def moves(record):
+    """(column the star left, state after the move) for every slide move
+    among consecutive recorded states."""
+    for prev, cur in zip(record, record[1:]):
+        if prev.star is not None and cur.star is not None and sjdt_step(prev) == cur:
+            yield prev.star[1], cur
+
+
+def test_windowed_check_agrees_with_full():
+    from sptab.enumeration import enum_ss_sp, shapes_up_to
+
+    records = [run_chain(CHAIN_ONE), run_chain(CHAIN_TWO)]
+    for t in [T_EX4] + [t for lam in shapes_up_to(3, 4) for t in enum_ss_sp(3, lam)]:
+        record = []
+        mu, q = phi(t, record)
+        psi(t.shape, mu, q, record)
+        records.append(record)
+    checked = 0
+    for record in records:
+        for j, state in moves(record):
+            assert is_semistandard_skew_sp(state, range(j - 1, j + 3)) == is_semistandard_skew_sp(state)
+            checked += 1
+    assert checked > 1000
+
+
+def refilled(state, k, barred):
+    """Column k refilled, in its frame, with the smallest letters 1, 2, ...
+    or, barred, with the largest ..., 2', 1'."""
+    c = state.columns[k - 1]
+    letters = F(range(1, c.size + 1))
+    A, D = (F(), letters) if barred else (letters, F())
+    return state.replace_col(k, SpSkewColumn(state.n, c.inner, A, D, c.star_row))
+
+
+def corrupt_move(monkeypatch, move, col, barred=False):
+    """Patch the slide step so that its `move`-th move also refills column
+    `col`; the states after each move are collected in the returned list."""
+    step, after = taquin_sp.sjdt_step, []
+
+    def corrupted(state):
+        nxt = step(state)
+        if nxt is not None:
+            after.append(refilled(nxt, col, barred) if len(after) + 1 == move else nxt)
+            return after[-1]
+        return nxt
+
+    monkeypatch.setattr(taquin_sp, "sjdt_step", corrupted)
+    return after
+
+
+# the second move of phi's first pass on the worked example leaves column 2,
+# so its window is columns 1..4; either edge, corrupted, breaks the state
+# while the changed columns 2 and 3 alone look fine
+@pytest.mark.parametrize("col, barred, narrower", [(4, False, range(1, 4)), (1, True, range(2, 5))])
+def test_trap_fires_inside_the_window_on_a_later_move(monkeypatch, tmp_path, capsys, col, barred, narrower):
+    after = corrupt_move(monkeypatch, 2, col, barred)
+    with pytest.raises(TaquinInvariantError, match="non-semi-standard"):
+        phi(T_EX4)
+    assert len(after) == 2  # caught on the move that broke the state
+    assert not is_semistandard_skew_sp(after[1], range(1, 5))
+    assert is_semistandard_skew_sp(after[1], narrower)
+
+    path = tmp_path / "t.json"
+    path.write_text(dumps(tableau_to_json(T_EX4)))
+    corrupt_move(monkeypatch, 2, col, barred)
+    assert main(["phi", "--n", "4", "--file", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: slide left a non-semi-standard state")
+
+
+def test_trap_fires_outside_the_window_on_the_first_move(monkeypatch):
+    # the first move leaves column 1; column 4 lies outside its window 0..3,
+    # so only the whole check on the first move sees it there
+    after = corrupt_move(monkeypatch, 1, 4)
+    with pytest.raises(TaquinInvariantError, match="non-semi-standard"):
+        phi(T_EX4)
+    assert len(after) == 1
+    assert not is_semistandard_skew_sp(after[0])
+    assert is_semistandard_skew_sp(after[0], range(0, 4))
+
+
+def test_replace_col_rejects_a_column_outside_the_state():
+    # an index outside 1..3 is an error, not a slice from the end
+    for col in (0, -1, 4):
+        with pytest.raises(TableauError):
+            CHAIN_ONE.replace_col(col, CHAIN_ONE.columns[0])
+
+
+@st.composite
+def skew_columns(draw, n, star):
+    inner = draw(st.integers(0, 2))
+    A = draw(st.frozensets(st.integers(0, n), max_size=2))
+    D = draw(st.frozensets(st.integers(0, n), max_size=2))
+    assume(len(A) + len(D) <= n + 1)
+    row = inner + draw(st.integers(1, len(A) + len(D) + 1)) if star else None
+    return SpSkewColumn(n, inner, A, D, row)
+
+
+@st.composite
+def replacements(draw):
+    """A valid skew state, a column index and replacement columns, which may
+    break its frame (heights, stars, rank) or not."""
+    n = draw(st.integers(1, 3))
+    cols = draw(st.lists(skew_columns(n, False), min_size=1, max_size=4))
+    cols.sort(key=lambda c: (c.height, c.inner), reverse=True)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(cols) - 1))
+        cols[k] = draw(skew_columns(n, True))
+    try:
+        state = SpSkewTableau(n, tuple(cols))
+    except TableauError:
+        reject()
+    j = draw(st.integers(1, len(cols)))
+    rank = draw(st.sampled_from([n, n, n, n + 1]))
+    new = draw(st.lists(skew_columns(rank, draw(st.booleans())), min_size=1, max_size=2))
+    return state, j, new
+
+
+def frame_holds(n, cols):
+    """The frame rules of a skew state, stated directly."""
+    hs, inners = [c.height for c in cols], [c.inner for c in cols]
+    return (
+        hs == sorted(hs, reverse=True)
+        and inners == sorted(inners, reverse=True)
+        and sum(c.star_row is not None for c in cols) <= 1
+        and all(c.n == n for c in cols)
+    )
+
+
+@settings(max_examples=250, deadline=None)
+@given(case=replacements())
+def test_replace_col_frame_check_matches_full(case):
+    state, j, new = case
+    cols = list(state.columns)
+    cols[j - 1 : j - 1 + len(new)] = new
+    try:
+        expected = SpSkewTableau(state.n, tuple(cols))
+    except TableauError as exc:
+        assert not frame_holds(state.n, cols)
+        with pytest.raises(TableauError) as info:
+            state.replace_col(j, *new)
+        assert str(info.value) == str(exc)
+    else:
+        assert frame_holds(state.n, cols)
+        got = state.replace_col(j, *new)
+        assert got == expected
+        assert (got.star, got.heights, got.inners) == (expected.star, expected.heights, expected.inners)
