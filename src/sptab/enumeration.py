@@ -159,7 +159,7 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     qs_by_subshape: dict[str, int] = {}
     union: dict[tuple[tuple[int, ...], tuple], tuple[int, ...]] = {}
     for mu in weight_subshapes(heights, n):
-        qs = enum_qs_sp(n, mu)
+        qs = [t for t in ss if is_quasistandard_sp(t)] if mu == heights else enum_qs_sp(n, mu)
         qs_by_subshape[_shape_key(mu)] = len(qs)
         for t in qs:
             union[(mu, t.columns)] = mu

@@ -346,12 +346,16 @@ def is_quasistandard_sl(t: Tableau) -> bool:
     return is_quasistandard_grid(t.grid())
 
 
-def is_semistandard_sp(t: Tableau) -> bool:
+def _admissible_double(t: Tableau) -> Grid | None:
+    """The double of a symplectic tableau; None when a column is inadmissible."""
     if t.kind != "sp":
         raise TableauError("expects a symplectic tableau")
-    if not all(is_admissible(c) for c in t.columns):
-        return False
-    return is_semistandard_grid(dble_tableau(t))
+    return dble_tableau(t) if all(is_admissible(c) for c in t.columns) else None
+
+
+def is_semistandard_sp(t: Tableau) -> bool:
+    grid = _admissible_double(t)
+    return grid is not None and is_semistandard_grid(grid)
 
 
 def is_quasistandard_sp(t: Tableau) -> bool:

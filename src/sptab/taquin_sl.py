@@ -22,19 +22,23 @@ is a column double, moved by surgery and reversed by swapping A and D.
 
 A slide step touches only the column j the star leaves and column j+1.
 A vertical move reframes column j around the same letters; a horizontal
-move puts in the two columns the model's move returns.  The new state
-checks its frame (outer and inner heights weakly decreasing, at most one
-star, and in the symplectic model one rank) only where the new columns
-meet their neighbours, and
-keeps the star's position and each column's height.  When a slide is
-checked, the state after its first move is checked whole and each later
-state only on columns j-1 .. j+2, which decides the whole check because
-every other column and pair of neighbours is as in the state before.
+move puts in the two columns the model's move returns.  Both come from one
+intern table keyed by the model's letters and the frame (inner, star_row),
+so each distinct column is built, checked and judged on its own once per
+process.  The new state checks its frame (outer and inner heights weakly
+decreasing, at most one star, and in the symplectic model one rank) only
+where the new columns meet their neighbours, and keeps the star's position
+and each column's height.  When a slide is checked, the state after its
+first move is checked whole and each later state only on columns j-1 .. j+2,
+by the height order and the rows of neighbouring columns, which decides the
+whole check because every other column and pair is as in the state before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import gt
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
@@ -69,6 +73,14 @@ __all__ = [
 # the engine: skew columns and skew states
 
 
+# engine columns by their fields (letters, inner, star_row); a miss runs every check
+_COLUMNS: dict = {}
+
+
+def _interned(cls, *fields):
+    return _COLUMNS.get(fields) or _COLUMNS.setdefault(fields, cls(*fields))
+
+
 class _SkewColumn:
     """`inner` vacated cells on top, then the `size` filled cells in row
     order with the star cell (at `star_row`, if any) among them.  The
@@ -84,13 +96,6 @@ class _SkewColumn:
             raise TableauError(f"star row {self.star_row} outside ({self.inner}, {height}]")
         object.__setattr__(self, "height", height)
 
-    def reframed(self, inner: int, star_row: int | None):
-        """The same letters under a new frame; only the frame is checked."""
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, inner=inner, star_row=star_row)
-        new._check_frame()
-        return new
-
     def rows(self, codes: tuple[int, ...]) -> list[int | None]:
         """Codes of the filled cells placed by row (index 0 = row 1), None
         at vacated and star cells."""
@@ -99,11 +104,24 @@ class _SkewColumn:
             out.insert(self.star_row - 1, None)
         return out
 
+    def _at(self, codes: tuple[int, ...], row: int) -> int | None:
+        """The code placed at `row` (1-based) by `rows`, without the list."""
+        if not 0 < row <= self.height:
+            raise IndexError(f"row {row} outside 1..{self.height}")
+        if row <= self.inner or row == self.star_row:
+            return None
+        return codes[row - self.inner - 1 - (self.star_row is not None and row > self.star_row)]
+
     def left_at(self, row: int) -> int | None:
-        return self.rows(self.grid()[0])[row - 1]
+        return self._at(self.grid()[0], row)
 
     def right_at(self, row: int) -> int | None:
-        return self.rows(self.grid()[-1])[row - 1]
+        return self._at(self.grid()[-1], row)
+
+    @lru_cache(maxsize=None)
+    def _sound(self) -> bool:
+        """The column's own halves, placed by row, are a semi-standard grid."""
+        return first_grid_violation([self.rows(codes) for codes in self.grid()]) is None
 
     def turned(self, H: int, n: int):
         """The column turned upside down in a rectangle of height H."""
@@ -128,11 +146,11 @@ class _SkewTableau:
         and store the star.  The messages name the whole state."""
         cols = self.columns
         pairs = range(max(lo, 1), min(hi + 1, len(cols)))
-        for name, attr in (("outer", "height"), ("inner", "inner")):
-            for k in pairs:
-                if getattr(cols[k], attr) > getattr(cols[k - 1], attr):
-                    hs = tuple(getattr(c, attr) for c in cols)
-                    raise TableauError(f"{name} heights {hs} not weakly decreasing")
+        for k in pairs:
+            if cols[k].height > cols[k - 1].height or cols[k].inner > cols[k - 1].inner:
+                outer = any(cols[m].height > cols[m - 1].height for m in pairs)  # named first
+                name, attr = ("outer", "height") if outer else ("inner", "inner")
+                raise TableauError(f"{name} heights {tuple(getattr(c, attr) for c in cols)} not weakly decreasing")
         for k in range(lo, hi):
             if cols[k].star_row is not None:
                 if star is not None:
@@ -179,9 +197,20 @@ def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> boo
     """The columns of the model's grid are semi-standard away from star and
     vacated cells, which are None in the rows and skipped.  With `cols` (a
     range of 1-based model columns) only those columns and the pairs of
-    neighbours among them are read."""
+    neighbours among them are read, each column on its own first."""
     columns = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
-    return first_grid_violation([c.rows(codes) for c in columns for codes in c.grid()]) is None
+    if not all(map(_SkewColumn._sound, columns)):
+        return False
+    for p, c in zip(columns, columns[1:]):
+        # rows filled in both: past the vacated cells, before and after the one star
+        a, b, lo = p.grid()[-1], c.grid()[0], max(p.inner, c.inner)
+        star = p.star_row or c.star_row or c.height + 1
+        mid, top = max(star - 1, lo), max(star, lo)
+        left = a[lo - p.inner : mid - p.inner] + a[top - p.inner - (p.star_row is not None) :]
+        right = b[lo - c.inner : mid - c.inner] + b[top - c.inner - (c.star_row is not None) :]
+        if c.height > p.height or any(map(gt, left, right)):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +397,7 @@ class SlSkewColumn(_SkewColumn):
     star_row: int | None = None
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "letters", tuple(self.letters))
         self._check_frame()
 
     @property
@@ -381,26 +411,30 @@ class SlSkewColumn(_SkewColumn):
     def grid(self) -> tuple[tuple[int, ...]]:
         return (self.letters,)
 
+    def reframed(self, inner: int, star_row: int | None) -> "SlSkewColumn":
+        """The same letters under a new frame."""
+        return _interned(SlSkewColumn, inner, self.letters, star_row)
+
     def pull(self, right: "SlSkewColumn", row: int) -> tuple["SlSkewColumn", "SlSkewColumn"]:
         """Horizontal move: the letter at (row, right) swaps with the star here."""
         k = row - right.inner - 1  # right holds no star
         idx = row - self.inner - 1
         return (
-            SlSkewColumn(self.inner, self.letters[:idx] + (right.letters[k],) + self.letters[idx:]),
-            SlSkewColumn(right.inner, right.letters[:k] + right.letters[k + 1 :], row),
+            _interned(SlSkewColumn, self.inner, self.letters[:idx] + (right.letters[k],) + self.letters[idx:], None),
+            _interned(SlSkewColumn, right.inner, right.letters[:k] + right.letters[k + 1 :], row),
         )
 
     def _reversed(self, inner: int, star: int | None, n: int) -> "SlSkewColumn":
-        return SlSkewColumn(inner, tuple(sigma_letter_sl(t, n) for t in reversed(self.letters)), star)
+        return _interned(SlSkewColumn, inner, tuple(sigma_letter_sl(t, n) for t in reversed(self.letters)), star)
 
     @classmethod
     def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SlSkewColumn":
         """The letters top, ..., n-1 under `inner` vacated cells."""
-        return cls(inner, tuple(range(top, n)), star)
+        return _interned(cls, inner, tuple(range(top, n)), star)
 
     @classmethod
     def of(cls, n: int, letters: tuple[int, ...]) -> "SlSkewColumn":
-        return cls(0, tuple(letters))
+        return _interned(cls, 0, tuple(letters), None)
 
 
 class SlSkewTableau(_SkewTableau):

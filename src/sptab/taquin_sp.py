@@ -18,6 +18,7 @@ a hard invariant violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .columns import (
     SymplecticColumn,
@@ -32,13 +33,15 @@ from .letters import from_code, letter_to_json
 from .tableaux import (
     Grid,
     Tableau,
+    _admissible_double,
     dble_tableau,
-    is_quasistandard_sp,
-    is_semistandard_sp,
+    is_quasistandard_grid,
+    is_semistandard_grid,
     nqs_rows,
 )
 from .taquin_sl import (
     _expand,
+    _interned,
     _is_semistandard_skew,
     _SkewColumn,
     _SkewTableau,
@@ -63,6 +66,12 @@ __all__ = [
 ]
 
 
+# the checked content of each (n, A, D), and the two contents a pull leaves,
+# by (left content, right content, alpha); a failed surgery is not stored
+_content = lru_cache(maxsize=None)(SymplecticColumn)
+_PULLS: dict = {}
+
+
 @dataclass(frozen=True)
 class SpSkewColumn(_SkewColumn):
     """Vacated prefix, column content (A, D), and an optional star cell.
@@ -78,18 +87,9 @@ class SpSkewColumn(_SkewColumn):
     star_row: int | None = None
 
     def __post_init__(self) -> None:
-        content = SymplecticColumn(self.n, self.A, self.D)
+        content = _content(self.n, frozenset(self.A), frozenset(self.D))
         self.__dict__.update(A=content.A, D=content.D, content=content)
         self._check_frame()
-
-    @classmethod
-    def _holding(cls, content: SymplecticColumn, inner: int, star_row: int | None = None) -> "SpSkewColumn":
-        """The skew column around a content that is already a checked
-        SymplecticColumn: only the frame is checked."""
-        new = object.__new__(cls)
-        new.__dict__.update(n=content.n, inner=inner, A=content.A, D=content.D, star_row=star_row, content=content)
-        new._check_frame()
-        return new
 
     @property
     def size(self) -> int:
@@ -103,31 +103,38 @@ class SpSkewColumn(_SkewColumn):
         d = double_of(self.n, self.A, self.D)
         return d.left, d.right
 
+    def reframed(self, inner: int, star_row: int | None) -> "SpSkewColumn":
+        """The same letters under a new frame."""
+        return _interned(SpSkewColumn, self.n, inner, self.A, self.D, star_row)
+
     def pull(self, right: "SpSkewColumn", row: int) -> tuple["SpSkewColumn", "SpSkewColumn"]:
         """Horizontal move: the left letter alpha at (row, right) crosses
         into this column by surgery through the doubling."""
-        n = self.n
         alpha = right.left_at(row)
-        if alpha <= n:
-            new, new_right = surgery_add_B(self.content, alpha), surgery_remove_A(right.content, alpha)
-        else:
-            v = 2 * n + 1 - alpha
-            new, new_right = surgery_add_D(self.content, v), surgery_remove_C(right.content, v)
-        return SpSkewColumn._holding(new, self.inner), SpSkewColumn._holding(new_right, right.inner, row)
+        key = (self.n, self.A, self.D, right.n, right.A, right.D, alpha)
+        if key not in _PULLS:
+            v = alpha if alpha <= self.n else 2 * self.n + 1 - alpha
+            add, remove = (surgery_add_B, surgery_remove_A) if alpha <= self.n else (surgery_add_D, surgery_remove_C)
+            new = add(self.content, v), remove(right.content, v)
+            _PULLS.setdefault(key, tuple(_content(c.n, c.A, c.D) for c in new))
+        new, new_right = _PULLS[key]
+        return (
+            _interned(SpSkewColumn, new.n, self.inner, new.A, new.D, None),
+            _interned(SpSkewColumn, new_right.n, right.inner, new_right.A, new_right.D, row),
+        )
 
     def _reversed(self, inner: int, star: int | None, n: int) -> "SpSkewColumn":
-        return SpSkewColumn(self.n, inner, self.D, self.A, star)
+        return _interned(SpSkewColumn, self.n, inner, self.D, self.A, star)
 
     @classmethod
     def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SpSkewColumn":
         """The letters top, ..., n under `inner` vacated cells."""
-        return cls(n, inner, frozenset(range(top, n + 1)), frozenset(), star)
+        return _interned(cls, n, inner, frozenset(range(top, n + 1)), frozenset(), star)
 
     @classmethod
     def of(cls, n: int, col: SymplecticColumn) -> "SpSkewColumn":
-        """A column of a rank-n tableau, its checked content kept (a state
-        of rank n rejects a column of another rank)."""
-        return cls._holding(col, 0)
+        """A column of a rank-n tableau; a state of rank n rejects another rank."""
+        return _interned(cls, col.n, 0, col.A, col.D, None)
 
 
 class SpSkewTableau(_SkewTableau):
@@ -229,7 +236,7 @@ def psi(
         lam,
         mu,
         q,
-        lambda t: is_semistandard_sp(t) and is_quasistandard_sp(t),
+        lambda t: (g := _admissible_double(t)) is not None and is_semistandard_grid(g) and is_quasistandard_grid(g),
         lambda state: sjdt_to_rest(state, record, verify=True),
         record,
     )

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from sptab import enumeration
 from sptab.enumeration import (
     enum_admissible_columns,
     enum_qs_sl,
@@ -13,7 +14,7 @@ from sptab.enumeration import (
     weyl_dim_sp,
 )
 from sptab.errors import ShapeError
-from sptab.tableaux import Tableau, is_quasistandard_sp, is_semistandard_sl
+from sptab.tableaux import Tableau, is_quasistandard_sp, is_semistandard_sl, weight_subshapes
 
 
 def test_column_counts():
@@ -115,6 +116,19 @@ def test_enum_deterministic_order():
     a = [t.grid() for t in enum_ss_sp(2, (2, 1))]
     b = [t.grid() for t in enum_ss_sp(2, (2, 1))]
     assert a == b and a == sorted(a)
+
+
+def test_verify_bijection_enumerates_its_own_shape_once(monkeypatch):
+    # QS(lambda) is filtered from SS(lambda); only the shapes below are enumerated again
+    lam, calls = (2, 1, 1), []
+    real = enumeration.enum_qs_sp
+    monkeypatch.setattr(enumeration, "enum_qs_sp", lambda n, mu: calls.append(mu) or real(n, mu))
+    r = verify_bijection(3, lam)
+    assert r["status"] == "pass"
+    assert calls == [mu for mu in weight_subshapes(lam, 3) if mu != lam]
+    assert list(r["counts"]["qs_by_subshape"].items()) == [
+        (",".join(map(str, mu)), len(real(3, mu))) for mu in weight_subshapes(lam, 3)
+    ]
 
 
 def test_verify_bijection_rank4_small():

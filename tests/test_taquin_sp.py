@@ -1,10 +1,15 @@
+import re
+
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
-from sptab import taquin_sp
+from sptab import columns, tableaux, taquin_sl, taquin_sp
 from sptab.cli import main
-from sptab.errors import ShapeError, TableauError, TaquinInvariantError
-from sptab.tableaux import Tableau, dumps, tableau_to_json
+from sptab.columns import SymplecticColumn, surgery_add_B, surgery_add_D, surgery_remove_A, surgery_remove_C
+from sptab.enumeration import enum_admissible_columns, enum_ss_sl, enum_ss_sp, shapes_up_to
+from sptab.errors import ShapeError, SptabError, TableauError, TaquinInvariantError
+from sptab.tableaux import Tableau, dumps, first_grid_violation, tableau_to_json
+from sptab.taquin_sl import SlSkewColumn, SlSkewTableau, expand_sl, reduce_sl
 from sptab.taquin_sp import (
     SpSkewColumn,
     SpSkewTableau,
@@ -26,6 +31,29 @@ F = frozenset
 
 def skew(n, *cols):
     return SpSkewTableau(n, tuple(SpSkewColumn(n, *c) for c in cols))
+
+
+def clear_memos():
+    taquin_sl._COLUMNS.clear()
+    taquin_sl._SkewColumn._sound.cache_clear()
+    taquin_sp._PULLS.clear()
+    taquin_sp._content.cache_clear()
+
+
+@pytest.fixture
+def empty_memos():
+    """The engine's memos are empty when the test starts and when it ends."""
+    clear_memos()
+    yield
+    clear_memos()
+
+
+@pytest.fixture(autouse=True)
+def patched_tests_start_empty(request):
+    # a memo filled by an earlier test could answer a patched step or
+    # surgery and hide its trap; one filled under a patch must not outlive it
+    if "monkeypatch" in request.fixturenames:
+        request.getfixturevalue("empty_memos")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +237,23 @@ def test_psi_rejects_q_not_quasistandard():
         psi((3, 1), (3, 1), q)  # also when lambda = mu
     with pytest.raises(TableauError):
         psi((2, 2), (2,), Tableau.sp(2, [(2, 3)]))  # [2, 2'] is not admissible
+
+
+def test_psi_doubles_q_once_and_rejects_an_inadmissible_column(monkeypatch):
+    mu, q = phi(T_EX4)
+    calls = []
+    double = tableaux.dble_tableau
+    monkeypatch.setattr(tableaux, "dble_tableau", lambda t: calls.append(t) or double(t))
+    assert psi(T_EX4.shape, mu, q) == T_EX4
+    assert psi(mu, mu, q) == q
+    assert calls == [q, q]
+    # [2, 2'] is not admissible: the same error as a q that is not standard,
+    # raised before anything is doubled, whether or not lambda = mu
+    bad = Tableau.sp(2, [(2, 3)])
+    for lam in ((2,), (2, 2)):
+        with pytest.raises(TableauError, match="not semi-standard and quasi-standard"):
+            psi(lam, (2,), bad)
+    assert calls == [q, q]
 
 
 def test_slide_pass_requires_nqs():
@@ -425,3 +470,127 @@ def test_replace_col_frame_check_matches_full(case):
         got = state.replace_col(j, *new)
         assert got == expected
         assert (got.star, got.heights, got.inners) == (expected.star, expected.heights, expected.inners)
+
+
+# ---------------------------------------------------------------------------
+# the intern table and the surgery memo
+
+
+def whole_grid_check(state, cols=None):
+    """The semi-standardness check as one generic grid pass over the rows."""
+    cols_ = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
+    return first_grid_violation([c.rows(codes) for c in cols_ for codes in c.grid()]) is None
+
+
+@st.composite
+def frame_valid_states(draw):
+    """A skew state of either model with admissible contents or arbitrary
+    letters, vacated cells and at most one star; often not semi-standard."""
+    n, sp = draw(st.integers(1, 3)), draw(st.booleans())
+    cols = []
+    for _ in range(draw(st.integers(1, 4))):
+        inner = draw(st.integers(0, 3))
+        if sp:
+            c = draw(st.sampled_from(enum_admissible_columns(n, draw(st.integers(1, n)))))
+            cols.append(SpSkewColumn(n, inner, c.A, c.D))
+        else:
+            cols.append(SlSkewColumn(inner, tuple(draw(st.lists(st.integers(1, n + 1), max_size=3)))))
+    cols.sort(key=lambda c: (c.height, c.inner), reverse=True)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(cols) - 1))
+        c = cols[k]
+        cols[k] = c.reframed(c.inner, c.inner + draw(st.integers(1, c.size + 1)))
+    try:
+        return (SpSkewTableau if sp else SlSkewTableau)(n, tuple(cols))
+    except TableauError:
+        reject()
+
+
+@settings(max_examples=400, deadline=None)
+@given(state=frame_valid_states())
+def test_pairwise_check_equals_one_grid_pass(state):
+    # the check reads the height order and neighbouring rows by offsets;
+    # a generic pass over the placed rows gives the same answer in any window
+    width = len(state.columns)
+    for cols in [None] + [range(a, b) for a in range(width + 2) for b in range(a, width + 3)]:
+        assert taquin_sl._is_semistandard_skew(state, cols) == whole_grid_check(state, cols)
+
+
+def surgery_pull(left, right, row):
+    """The horizontal move by the surgeries alone, outside every memo."""
+    n, alpha = left.n, right.left_at(row)
+    if alpha <= n:
+        new, new_right = surgery_add_B(left.content, alpha), surgery_remove_A(right.content, alpha)
+    else:
+        v = 2 * n + 1 - alpha
+        new, new_right = surgery_add_D(left.content, v), surgery_remove_C(right.content, v)
+    return SpSkewColumn(n, left.inner, new.A, new.D), SpSkewColumn(n, right.inner, new_right.A, new_right.D, row)
+
+
+def test_memoised_pull_equals_the_surgeries(monkeypatch):
+    legal, illegal = [], 0
+    for n in (1, 2, 3):
+        cols = [SymplecticColumn(n, F(), F())] + [c for k in range(1, n + 1) for c in enum_admissible_columns(n, k)]
+        for a in cols:
+            for b in cols:
+                left, right = SpSkewColumn(n, 0, a.A, a.D), SpSkewColumn(n, 1, b.A, b.D)
+                for row in range(2, right.height + 1):
+                    try:
+                        expected = surgery_pull(left, right, row)
+                    except SptabError as exc:
+                        illegal += 1
+                        for _ in range(2):  # a failed surgery is not stored
+                            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                                left.pull(right, row)
+                        continue
+                    got = left.pull(right, row)
+                    assert got == expected
+                    assert [c.height for c in got] == [c.height for c in expected]
+                    legal.append((left, right, row, got))
+    assert (len(legal), illegal) == (1818, 988)
+    # a repeated pull is answered from the memo, without a surgery
+    for name in ("surgery_add_B", "surgery_add_D", "surgery_remove_A", "surgery_remove_C"):
+        monkeypatch.setattr(taquin_sp, name, None)
+    for left, right, row, got in legal:
+        assert left.pull(right, row) == got
+
+
+def round_trips():
+    for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sp(3, lam)]:
+        mu, q = phi(t)
+        assert psi(t.shape, mu, q) == t
+    for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sl(4, lam)]:
+        mu, q = reduce_sl(t)
+        assert expand_sl(t.shape, mu, q) == t
+
+
+def test_interned_columns_equal_the_public_ones(empty_memos):
+    round_trips()
+    assert {type(c) for c in taquin_sl._COLUMNS.values()} == {SpSkewColumn, SlSkewColumn}
+    for fields, col in taquin_sl._COLUMNS.items():
+        fresh = type(col)(*fields)
+        assert col == fresh
+        assert (col.height, col.content) == (fresh.height, fresh.content)
+        assert col.reframed(col.inner, col.star_row) is col
+
+
+def memo_sizes():
+    return (
+        len(taquin_sl._COLUMNS),
+        taquin_sl._SkewColumn._sound.cache_info().currsize,
+        len(taquin_sp._PULLS),
+        taquin_sp._content.cache_info().currsize,
+        columns._double.cache_info().currsize,
+    )
+
+
+def test_memos_are_keyed_by_content_not_by_call():
+    tabs = [t for lam in shapes_up_to(3, 5) for t in enum_ss_sp(3, lam)]
+    sizes = []
+    for _ in range(2):
+        for t in tabs:
+            mu, q = phi(t)
+            psi(t.shape, mu, q)
+        sizes.append(memo_sizes())
+    assert sizes[1] == sizes[0]
+    assert all(sizes[0])
