@@ -251,6 +251,10 @@ def cmd_verify(args) -> int:
     if args.n < 1:
         raise SptabError(f"rank must be positive, got --n {args.n}")
     if args.what == "bijection":
+        if args.max_boxes < 0:
+            raise SptabError(f"--max-boxes must be non-negative, got {args.max_boxes}")
+        if args.jobs < 1:
+            raise SptabError(f"--jobs must be at least 1, got {args.jobs}")
         shapes = shapes_up_to(args.n, args.max_boxes)
         if args.jobs > 1:
             from multiprocessing import Pool
@@ -258,7 +262,7 @@ def cmd_verify(args) -> int:
             # largest shapes first, one per task, so no worker is left with a
             # chunk of the big ones; reports go back in shapes_up_to order
             order = sorted(shapes, key=lambda s: -weyl_dim_sp(args.n, shape_to_multiplicities(s, args.n)))
-            with Pool(args.jobs) as pool:
+            with Pool(min(args.jobs, len(shapes))) as pool:
                 done = pool.starmap(verify_bijection, [(args.n, s) for s in order], chunksize=1)
             by_shape = dict(zip(order, done))
             reports = [by_shape[s] for s in shapes]
@@ -268,6 +272,8 @@ def cmd_verify(args) -> int:
         _emit({"n": args.n, "max_boxes": args.max_boxes, "reports": reports, "status": "pass" if ok else "fail"})
         return 0 if ok else 2
     if args.what == "dims":
+        if args.max_k < 2:
+            raise SptabError(f"--max-k must be at least 2, got {args.max_k}")
         results = []
         for k in range(2, min(args.max_k, args.n) + 1):
             kernel = kernel_dimension(args.n, k)

@@ -20,23 +20,27 @@ classical model SlSkewColumn is one plain letter column, moved by a swap
 and reversed by t -> n+1-t; the symplectic model SpSkewColumn (taquin_sp)
 is a column double, moved by surgery and reversed by swapping A and D.
 
-A slide step touches only the column j the star leaves and column j+1.
-A vertical move reframes column j around the same letters; a horizontal
-move puts in the two columns the model's move returns.  Both come from one
-intern table keyed by the model's letters and the frame (inner, star_row),
-so each distinct column is built, checked and judged on its own once per
-process.  The new state checks its frame (outer and inner heights weakly
-decreasing, at most one star, and in the symplectic model one rank) only
-where the new columns meet their neighbours, and keeps the star's position
-and each column's height.  When a slide is checked, the state after its
-first move is checked whole and each later state only on columns j-1 .. j+2,
-by the height order and the rows of neighbouring columns, which decides the
-whole check because every other column and pair is as in the state before.
+A slide step reads and changes only the column j the star leaves and
+column j+1.  A vertical move reframes column j around the same letters; a
+horizontal move puts in the two columns the model's move returns.  Columns
+come from one intern table keyed by the model's letters and the frame
+(inner, star_row), so each distinct column is built, checked, hashed and
+judged on its own once per process.  The step table `_MOVES` holds the new
+columns of each move by its pair (column j, column j+1), so a move is
+worked out once per distinct pair; a move that raises is not stored.  The
+new state checks its frame (outer and inner heights weakly decreasing, at
+most one star, and in the symplectic model one rank) only where the new
+columns meet their neighbours.  When a slide is checked, the state after
+its first move is checked whole and each later state only on columns
+j-1 .. j+2, which decides the whole check because every other column and
+pair is as in the state before.  A check is the verdicts, memoised in
+`_PAIRS`, on the pairs of neighbours in its range: both columns sound on
+their own, the right one no taller, and their shared rows in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from operator import gt
 
@@ -75,6 +79,10 @@ __all__ = [
 
 # engine columns by their fields (letters, inner, star_row); a miss runs every check
 _COLUMNS: dict = {}
+# the step table: by (column j, column j+1 if any), the columns a move of the
+# star in column j puts in their place, () when it rests; each pair's verdict
+_MOVES: dict = {}
+_PAIRS: dict = {}
 
 
 def _interned(cls, *fields):
@@ -84,7 +92,7 @@ def _interned(cls, *fields):
 class _SkewColumn:
     """`inner` vacated cells on top, then the `size` filled cells in row
     order with the star cell (at `star_row`, if any) among them.  The
-    height is stored when the frame is checked."""
+    height and the hash of the fields are stored when the frame is checked."""
 
     has_zero = False
 
@@ -95,6 +103,10 @@ class _SkewColumn:
         if self.star_row is not None and not self.inner < self.star_row <= height:
             raise TableauError(f"star row {self.star_row} outside ({self.inner}, {height}]")
         object.__setattr__(self, "height", height)
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def rows(self, codes: tuple[int, ...]) -> list[int | None]:
         """Codes of the filled cells placed by row (index 0 = row 1), None
@@ -151,12 +163,12 @@ class _SkewTableau:
                 outer = any(cols[m].height > cols[m - 1].height for m in pairs)  # named first
                 name, attr = ("outer", "height") if outer else ("inner", "inner")
                 raise TableauError(f"{name} heights {tuple(getattr(c, attr) for c in cols)} not weakly decreasing")
-        for k in range(lo, hi):
-            if cols[k].star_row is not None:
+        for k, c in enumerate(cols[lo:hi], lo + 1):
+            if c.star_row is not None:
                 if star is not None:
                     raise TableauError("more than one star")
-                star = (cols[k].star_row, k + 1)
-        object.__setattr__(self, "star", star)
+                star = (c.star_row, k)
+        self.__dict__["star"] = star
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -176,10 +188,8 @@ class _SkewTableau:
         if not 1 <= col <= len(self.columns):
             raise TableauError(f"column {col} outside 1..{len(self.columns)}")
         lo, hi = col - 1, col - 1 + len(new)
-        cols = list(self.columns)
-        cols[lo:hi] = new
         state = object.__new__(type(self))
-        state.__dict__.update(n=self.n, columns=tuple(cols))
+        state.__dict__.update(n=self.n, columns=self.columns[:lo] + new + self.columns[hi:])
         star = self.star
         state._check_frame(lo, hi, None if star is None or lo < star[1] <= hi else star)
         return state
@@ -193,22 +203,31 @@ class _SkewTableau:
         return type(self)(self.n, tuple(c.turned(H, self.n) for c in reversed(self.columns)))
 
 
+def _pair_verdict(p: _SkewColumn, c: _SkewColumn) -> bool:
+    """Both columns are sound, c is no taller than its left neighbour p, and
+    p's right half is at most c's left half in each row filled in both: past
+    the vacated cells, before and after the pair's one star."""
+    a, b, lo = p.grid()[-1], c.grid()[0], max(p.inner, c.inner)
+    star = p.star_row or c.star_row or c.height + 1
+    mid, top = max(star - 1, lo), max(star, lo)
+    left = a[lo - p.inner : mid - p.inner] + a[top - p.inner - (p.star_row is not None) :]
+    right = b[lo - c.inner : mid - c.inner] + b[top - c.inner - (c.star_row is not None) :]
+    return p._sound() and c._sound() and c.height <= p.height and not any(map(gt, left, right))
+
+
 def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> bool:
     """The columns of the model's grid are semi-standard away from star and
     vacated cells, which are None in the rows and skipped.  With `cols` (a
     range of 1-based model columns) only those columns and the pairs of
-    neighbours among them are read, each column on its own first."""
+    neighbours among them are read, each pair's verdict once."""
     columns = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
-    if not all(map(_SkewColumn._sound, columns)):
-        return False
-    for p, c in zip(columns, columns[1:]):
-        # rows filled in both: past the vacated cells, before and after the one star
-        a, b, lo = p.grid()[-1], c.grid()[0], max(p.inner, c.inner)
-        star = p.star_row or c.star_row or c.height + 1
-        mid, top = max(star - 1, lo), max(star, lo)
-        left = a[lo - p.inner : mid - p.inner] + a[top - p.inner - (p.star_row is not None) :]
-        right = b[lo - c.inner : mid - c.inner] + b[top - c.inner - (c.star_row is not None) :]
-        if c.height > p.height or any(map(gt, left, right)):
+    if len(columns) == 1:
+        return columns[0]._sound()
+    for pair in zip(columns, columns[1:]):
+        ok = _PAIRS.get(pair)
+        if ok is None:
+            ok = _PAIRS.setdefault(pair, _pair_verdict(*pair))
+        if not ok:
             return False
     return True
 
@@ -226,24 +245,31 @@ def _neighbours(state: _SkewTableau, i: int, j: int) -> tuple[bool, bool]:
     return below, right
 
 
-def _step(state: _SkewTableau):
-    """One slide move; None when the star rests at an outer corner.
+def _move(state: _SkewTableau, i: int, j: int) -> tuple:
+    """The columns put in place of column j (and j+1) by a move of the star
+    at (i, j), () when it rests: it moves down when the right letter of the
+    cell below is at most the left letter of the cell to the right."""
+    below, right = _neighbours(state, i, j)
+    if not below and not right:
+        return ()
+    col = state.columns[j - 1]
+    if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
+        return (col.reframed(col.inner, i + 1),)
+    return col.pull(state.columns[j], i)
 
-    With the star at (i, j) it moves down when the right letter of the cell
-    below is at most the left letter of the cell to the right, and right
-    otherwise.
-    """
+
+def _step(state: _SkewTableau):
+    """One slide move; None when the star rests at an outer corner.  A move
+    reads only columns j and j+1; one that raises is not stored."""
     pos = state.star
     if pos is None:
         raise TableauError("no star to slide")
     i, j = pos
-    below, right = _neighbours(state, i, j)
-    if not below and not right:
-        return None
-    col = state.columns[j - 1]
-    if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
-        return state.replace_col(j, col.reframed(col.inner, i + 1))
-    return state.replace_col(j, *col.pull(state.columns[j], i))
+    key = state.columns[j - 1 : j + 1]
+    new = _MOVES.get(key)
+    if new is None:
+        new = _MOVES.setdefault(key, _move(state, i, j))
+    return state.replace_col(j, *new) if new else None
 
 
 def _to_rest(state, step, record: list | None = None, check=None):
@@ -395,6 +421,7 @@ class SlSkewColumn(_SkewColumn):
     inner: int
     letters: tuple[int, ...]
     star_row: int | None = None
+    __hash__ = _SkewColumn.__hash__  # the stored field hash
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))

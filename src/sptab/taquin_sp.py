@@ -18,7 +18,7 @@ a hard invariant violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .columns import (
     SymplecticColumn,
@@ -85,6 +85,7 @@ class SpSkewColumn(_SkewColumn):
     A: frozenset[int]
     D: frozenset[int]
     star_row: int | None = None
+    __hash__ = _SkewColumn.__hash__  # the stored field hash
 
     def __post_init__(self) -> None:
         content = _content(self.n, frozenset(self.A), frozenset(self.D))
@@ -100,6 +101,11 @@ class SpSkewColumn(_SkewColumn):
         return 0 in self.A or 0 in self.D
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self._halves
+
+    @cached_property
+    def _halves(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # kept from the first call on, not built eagerly: a column with no double raises here
         d = double_of(self.n, self.A, self.D)
         return d.left, d.right
 

@@ -184,6 +184,49 @@ def test_verify_rejects_rank_below_one():
         assert_input_error(run_cli(["verify", "bijection", "--n", n, "--max-boxes", "1"]))
 
 
+def test_verify_rejects_a_range_that_checks_nothing():
+    # each of these used to exit 0 with a pass over an empty or trivial set
+    for k in ("1", "-3"):
+        assert_input_error(run_cli(["verify", "dims", "--n", "4", "--max-k", k]))
+    assert_input_error(run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "-1"]))
+    for jobs in ("0", "-2"):
+        assert_input_error(run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "2", "--jobs", jobs]))
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records the size asked for and
+    runs the tasks in this process, starting none."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, args, chunksize=1):
+        return [fn(*a) for a in args]
+
+
+def test_verify_bijection_pool_has_no_idle_workers(monkeypatch, capsys):
+    import multiprocessing
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    argv = ["verify", "bijection", "--n", "2", "--max-boxes", "2"]
+    assert main(argv) == 0
+    serial = capsys.readouterr().out
+    for jobs in ("2", "64"):
+        assert main(argv + ["--jobs", jobs]) == 0
+        assert capsys.readouterr().out == serial
+    # one pool per parallel run, none larger than the number of shapes
+    assert RecordingPool.sizes == [2, len(shapes_up_to(2, 2))]
+
+
 def test_psi_rejects_non_quasistandard_input():
     r = run_cli(["psi", "--n", "3", "--target-shape", "3,1,1"], '{"n": 3, "kind": "sp", "columns": [[1, 2, 3], [1]]}')
     assert_input_error(r)

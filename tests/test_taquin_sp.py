@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -7,7 +8,14 @@ from sptab import columns, tableaux, taquin_sl, taquin_sp
 from sptab.cli import main
 from sptab.columns import SymplecticColumn, surgery_add_B, surgery_add_D, surgery_remove_A, surgery_remove_C
 from sptab.enumeration import enum_admissible_columns, enum_ss_sl, enum_ss_sp, shapes_up_to
-from sptab.errors import ShapeError, SptabError, TableauError, TaquinInvariantError
+from sptab.errors import (
+    ColumnError,
+    InadmissibleColumnError,
+    ShapeError,
+    SptabError,
+    TableauError,
+    TaquinInvariantError,
+)
 from sptab.tableaux import Tableau, dumps, first_grid_violation, tableau_to_json
 from sptab.taquin_sl import SlSkewColumn, SlSkewTableau, expand_sl, reduce_sl
 from sptab.taquin_sp import (
@@ -35,6 +43,8 @@ def skew(n, *cols):
 
 def clear_memos():
     taquin_sl._COLUMNS.clear()
+    taquin_sl._MOVES.clear()
+    taquin_sl._PAIRS.clear()
     taquin_sl._SkewColumn._sound.cache_clear()
     taquin_sp._PULLS.clear()
     taquin_sp._content.cache_clear()
@@ -512,8 +522,9 @@ def test_pairwise_check_equals_one_grid_pass(state):
     # the check reads the height order and neighbouring rows by offsets;
     # a generic pass over the placed rows gives the same answer in any window
     width = len(state.columns)
-    for cols in [None] + [range(a, b) for a in range(width + 2) for b in range(a, width + 3)]:
-        assert taquin_sl._is_semistandard_skew(state, cols) == whole_grid_check(state, cols)
+    for _ in range(2):  # the second time every pair verdict is read from the memo
+        for cols in [None] + [range(a, b) for a in range(width + 2) for b in range(a, width + 3)]:
+            assert taquin_sl._is_semistandard_skew(state, cols) == whole_grid_check(state, cols)
 
 
 def surgery_pull(left, right, row):
@@ -577,6 +588,8 @@ def test_interned_columns_equal_the_public_ones(empty_memos):
 def memo_sizes():
     return (
         len(taquin_sl._COLUMNS),
+        len(taquin_sl._MOVES),
+        len(taquin_sl._PAIRS),
         taquin_sl._SkewColumn._sound.cache_info().currsize,
         len(taquin_sp._PULLS),
         taquin_sp._content.cache_info().currsize,
@@ -594,3 +607,66 @@ def test_memos_are_keyed_by_content_not_by_call():
         sizes.append(memo_sizes())
     assert sizes[1] == sizes[0]
     assert all(sizes[0])
+
+
+# ---------------------------------------------------------------------------
+# the step table and the lazy double
+
+
+def bare_step(state):
+    """One slide move by the rule alone: the neighbours, the comparison and
+    the horizontal move, outside the step table and the surgery memo."""
+    i, j = state.star
+    below, right = taquin_sl._neighbours(state, i, j)
+    if not below and not right:
+        return None
+    col = state.columns[j - 1]
+    if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
+        return state.replace_col(j, col.reframed(col.inner, i + 1))
+    pull = surgery_pull if isinstance(col, SpSkewColumn) else SlSkewColumn.pull
+    return state.replace_col(j, *pull(col, state.columns[j], i))
+
+
+def test_step_table_equals_the_bare_rule(monkeypatch):
+    states = []
+    for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sp(3, lam)]:
+        mu, q = phi(t, states)
+        psi(t.shape, mu, q, states)
+    step = taquin_sl.jdt_step
+    monkeypatch.setattr(taquin_sl, "jdt_step", lambda state: states.append(state) or step(state))
+    for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sl(4, lam)]:
+        mu, q = reduce_sl(t)
+        assert expand_sl(t.shape, mu, q) == t
+    states = [state for state in states if state.star is not None]
+    assert {type(state) for state in states} == {SpSkewTableau, SlSkewTableau}
+    clear_memos()
+    for state in states:
+        got, expected = taquin_sl._step(state), bare_step(state)
+        assert got == expected
+        assert got is None or got.star == expected.star
+    size = len(taquin_sl._MOVES)
+    assert 0 < size < len(states)
+    # the same states again, of columns built by the public constructors:
+    # equal columns hash alike, so the table answers every move
+    for state in states:
+        copy = type(state)(state.n, tuple(dataclasses.replace(c) for c in state.columns))
+        assert all(a is not b for a, b in zip(copy.columns, state.columns))
+        assert taquin_sl._step(copy) == bare_step(state)
+    assert len(taquin_sl._MOVES) == size
+
+
+def test_a_move_that_raises_is_not_stored(empty_memos):
+    # the star at (2, 1) pulls the letter 2 across, which column 1 holds already
+    state = skew(2, (0, F({2}), F(), 2), (0, F({1, 2}), F()))
+    for _ in range(2):
+        with pytest.raises(ColumnError, match=re.escape("2 already in B = [2]")):
+            sjdt_step(state)
+    assert not taquin_sl._MOVES
+
+
+def test_column_without_a_double_raises_on_every_grid_call():
+    # the letters 0, 2, 3', 2' form a column at n=3 but no admissible one
+    col = SpSkewColumn(3, 0, F({0, 2}), F({2, 3}))
+    for _ in range(2):
+        with pytest.raises(InadmissibleColumnError):
+            col.grid()
