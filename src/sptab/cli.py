@@ -13,43 +13,10 @@ import json
 import sys
 from math import comb
 
-from .columns import is_admissible
-from .enumeration import (
-    enum_admissible_columns,
-    enum_qs_sl,
-    enum_qs_sp,
-    enum_ss_sl,
-    enum_ss_sp,
-    shapes_up_to,
-    verify_bijection,
-    weyl_dim_sp,
-)
 from .errors import ParseError, SptabError, TaquinInvariantError
-from .letters import code as letter_code, from_code, letter_from_json, letter_to_json
-from .plucker import contraction_matrix, exact_rank, kernel_dimension
-from .tableaux import (
-    Tableau,
-    dble_tableau,
-    dumps,
-    first_grid_violation,
-    is_semistandard_sp,
-    nqs_rows,
-    render,
-    render_grid,
-    shape_to_multiplicities,
-    tableau_from_json,
-    tableau_to_json,
-)
-from .taquin_sp import (
-    SpSkewColumn,
-    SpSkewTableau,
-    phi,
-    psi,
-    shed,
-    sjdt_to_rest,
-    state_to_json,
-    trace_to_json,
-)
+
+# Each command imports the layers it runs inside its own body, so that a
+# fresh process compiles and loads only those.
 
 __all__ = ["main"]
 
@@ -67,6 +34,8 @@ def _read_input(args) -> object:
 
 
 def _emit(obj: object) -> None:
+    from .tableaux import dumps
+
     sys.stdout.write(dumps(obj) + "\n")
 
 
@@ -76,6 +45,9 @@ def _check_rank(args, t) -> None:
 
 
 def cmd_double(args) -> int:
+    from .letters import from_code, letter_to_json
+    from .tableaux import dble_tableau, render_grid, tableau_from_json
+
     t = tableau_from_json(_read_input(args))
     _check_rank(args, t)
     if t.kind != "sp":
@@ -90,6 +62,10 @@ def cmd_double(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .columns import is_admissible
+    from .letters import code as letter_code, letter_from_json
+    from .tableaux import Tableau, dble_tableau, first_grid_violation, nqs_rows, tableau_from_json
+
     data = _read_input(args)
     if args.predicate == "admissible" and isinstance(data, list):
         letters = [letter_from_json(v) for v in data]
@@ -135,6 +111,9 @@ def _parse_ints(text: str, what: str = "shape") -> tuple[int, ...]:
 
 
 def cmd_enum(args) -> int:
+    from .enumeration import enum_admissible_columns, enum_qs_sl, enum_qs_sp, enum_ss_sl, enum_ss_sp
+    from .tableaux import Tableau, render, tableau_to_json
+
     shape = _parse_ints(args.shape)
     if args.predicate == "admissible":
         if len(shape) != 1:
@@ -165,6 +144,9 @@ def cmd_enum(args) -> int:
 
 
 def cmd_phi(args) -> int:
+    from .tableaux import is_semistandard_sp, tableau_from_json
+    from .taquin_sp import phi
+
     t = tableau_from_json(_read_input(args))
     _check_rank(args, t)
     if not is_semistandard_sp(t):
@@ -175,6 +157,9 @@ def cmd_phi(args) -> int:
 
 
 def cmd_psi(args) -> int:
+    from .tableaux import tableau_from_json
+    from .taquin_sp import psi
+
     t = tableau_from_json(_read_input(args))
     _check_rank(args, t)
     lam = _parse_ints(args.target_shape)
@@ -182,8 +167,11 @@ def cmd_psi(args) -> int:
     return _emit_result(args, {}, psi(lam, t.shape, t, record), record)
 
 
-def _emit_result(args, out: dict, result: Tableau, record: list | None) -> int:
-    """Print the result of phi or psi, with the slide trace when recorded."""
+def _emit_result(args, out: dict, result, record: list | None) -> int:
+    """Print the tableau phi or psi returned, with the slide trace when recorded."""
+    from .tableaux import render, tableau_to_json
+    from .taquin_sp import trace_to_json
+
     if args.format == "ascii":
         print(render(result))
         return 0
@@ -199,6 +187,9 @@ def _is_int(v: object) -> bool:
 
 
 def cmd_sjdt(args) -> int:
+    from .letters import letter_from_json
+    from .taquin_sp import SpSkewColumn, SpSkewTableau, shed, sjdt_to_rest, state_to_json, trace_to_json
+
     data = _read_input(args)
     if not isinstance(data, dict) or "columns" not in data:
         raise SptabError("sjdt expects a skew tableau object with columns and inner")
@@ -255,6 +246,9 @@ def cmd_verify(args) -> int:
             raise SptabError(f"--max-boxes must be non-negative, got {args.max_boxes}")
         if args.jobs < 1:
             raise SptabError(f"--jobs must be at least 1, got {args.jobs}")
+        from .enumeration import shapes_up_to, verify_bijection, weyl_dim_sp
+        from .tableaux import shape_to_multiplicities
+
         shapes = shapes_up_to(args.n, args.max_boxes)
         if args.jobs > 1:
             from multiprocessing import Pool
@@ -272,8 +266,11 @@ def cmd_verify(args) -> int:
         _emit({"n": args.n, "max_boxes": args.max_boxes, "reports": reports, "status": "pass" if ok else "fail"})
         return 0 if ok else 2
     if args.what == "dims":
-        if args.max_k < 2:
-            raise SptabError(f"--max-k must be at least 2, got {args.max_k}")
+        if min(args.max_k, args.n) < 2:  # no height from 2 to min(max_k, n) to check
+            raise SptabError(f"--max-k and --n must be at least 2, got {args.max_k} and {args.n}")
+        from .enumeration import enum_admissible_columns
+        from .plucker import kernel_dimension
+
         results = []
         for k in range(2, min(args.max_k, args.n) + 1):
             kernel = kernel_dimension(args.n, k)
@@ -286,6 +283,8 @@ def cmd_verify(args) -> int:
         _emit({"n": args.n, "results": results, "status": "pass" if ok else "fail"})
         return 0 if ok else 2
     if args.what == "plucker":
+        from .plucker import contraction_matrix, exact_rank
+
         rows = contraction_matrix(args.n, args.k)
         rank = exact_rank(rows)
         kernel = comb(2 * args.n, args.k) - rank

@@ -9,7 +9,6 @@ deterministic (columns sorted by their visible letter codes).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -23,7 +22,6 @@ from .tableaux import (
     shape_to_multiplicities,
     weight_subshapes,
 )
-from .taquin_sp import phi, psi
 
 __all__ = [
     "enum_admissible_columns",
@@ -123,22 +121,24 @@ def weyl_dim_sp(n: int, mult: tuple[int, ...]) -> int:
 
     Product over the positive roots theta_i - theta_j, theta_i + theta_j
     (i < j) and 2 theta_i of <lam+rho, root> / <rho, root>, with
-    rho = (n, n-1, ..., 1) in the theta coordinates.  Exact integer.
+    rho = (n, n-1, ..., 1) in the theta coordinates.  Exact integer: the
+    product of the numerators over the product of the denominators.
     """
-    if len(mult) != n or any(a < 0 for a in mult):
-        raise ShapeError(f"need {n} non-negative multiplicities, got {mult}")
+    if n < 1 or len(mult) != n or any(a < 0 for a in mult):
+        raise ShapeError(f"need a positive rank and {n} non-negative multiplicities, got {mult}")
     lam = [sum(mult[i:]) for i in range(n)]
     rho = [n - i for i in range(n)]
     v = [l + r for l, r in zip(lam, rho)]
-    dim = Fraction(1)
+    num = den = 1
     for i in range(n):
         for j in range(i + 1, n):
-            dim *= Fraction(v[i] - v[j], rho[i] - rho[j])
-            dim *= Fraction(v[i] + v[j], rho[i] + rho[j])
-        dim *= Fraction(v[i], rho[i])
-    if dim.denominator != 1:
+            num *= (v[i] - v[j]) * (v[i] + v[j])
+            den *= (rho[i] - rho[j]) * (rho[i] + rho[j])
+        num *= v[i]
+        den *= rho[i]
+    if num % den:
         raise ArithmeticError(f"non-integral dimension for {mult}")
-    return int(dim)
+    return num // den
 
 
 def _shape_key(heights: tuple[int, ...]) -> str:
@@ -153,6 +153,8 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     sets over shapes below in the weight order; (3) onto; (4) the inverse
     recomposes every tableau.  Failures are report entries, not exceptions.
     """
+    from .taquin_sp import phi, psi  # enum and dims never load the slide engine
+
     heights = tuple(heights)
     ss = enum_ss_sp(n, heights)
     weyl = weyl_dim_sp(n, shape_to_multiplicities(heights, n))

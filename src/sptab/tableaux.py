@@ -180,6 +180,8 @@ class Tableau:
     columns: tuple
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise TableauError(f"rank must be positive, got {self.n}")
         if self.kind not in ("sl", "sp"):
             raise TableauError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "columns", tuple(self.columns))

@@ -188,6 +188,7 @@ def test_verify_rejects_a_range_that_checks_nothing():
     # each of these used to exit 0 with a pass over an empty or trivial set
     for k in ("1", "-3"):
         assert_input_error(run_cli(["verify", "dims", "--n", "4", "--max-k", k]))
+    assert_input_error(run_cli(["verify", "dims", "--n", "1", "--max-k", "5"]))
     assert_input_error(run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "-1"]))
     for jobs in ("0", "-2"):
         assert_input_error(run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "2", "--jobs", jobs]))
@@ -225,6 +226,14 @@ def test_verify_bijection_pool_has_no_idle_workers(monkeypatch, capsys):
         assert capsys.readouterr().out == serial
     # one pool per parallel run, none larger than the number of shapes
     assert RecordingPool.sizes == [2, len(shapes_up_to(2, 2))]
+
+
+def test_rank_below_one_is_an_input_error():
+    # a tableau with no columns used to be accepted at any rank
+    empty = '{"n": -1, "kind": "sp", "columns": []}'
+    for argv in (["double"], ["check", "--predicate", "ss-sp"], ["phi"], ["psi", "--target-shape", ""]):
+        assert_input_error(run_cli(argv + ["--n", "-1"], empty))
+    assert_input_error(run_cli(["enum", "--n", "-2", "--shape", "", "--predicate", "ss-sp", "--count"]))
 
 
 def test_psi_rejects_non_quasistandard_input():

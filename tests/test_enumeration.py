@@ -1,3 +1,5 @@
+from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -13,7 +15,7 @@ from sptab.enumeration import (
     verify_bijection,
     weyl_dim_sp,
 )
-from sptab.errors import ShapeError
+from sptab.errors import ShapeError, TableauError
 from sptab.tableaux import Tableau, is_quasistandard_sp, is_semistandard_sl, weight_subshapes
 
 
@@ -54,6 +56,38 @@ def test_weyl_dims():
         weyl_dim_sp(2, (1, -1))
     with pytest.raises(ShapeError):
         weyl_dim_sp(2, (1,))
+    for n in (0, -1):
+        with pytest.raises(ShapeError):
+            weyl_dim_sp(n, ())
+
+
+def weyl_dim_fraction(n, mult):
+    """The Weyl product as a product of fractions, one per positive root."""
+    v = [sum(mult[i:]) + n - i for i in range(n)]
+    rho = [n - i for i in range(n)]
+    dim = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            dim *= Fraction(v[i] - v[j], rho[i] - rho[j]) * Fraction(v[i] + v[j], rho[i] + rho[j])
+        dim *= Fraction(v[i], rho[i])
+    assert dim.denominator == 1
+    return dim.numerator
+
+
+def test_weyl_dim_matches_the_fraction_product():
+    mults = [m for n in range(1, 5) for m in product(range(4), repeat=n)]
+    mults += [(5, 0, 2, 0, 1), (1, 1, 1, 1, 1), (0, 0, 0, 0, 7), (2, 3, 0, 1, 0, 4), (9, 0, 0, 0, 0, 1)]
+    for mult in mults:
+        got = weyl_dim_sp(len(mult), mult)
+        assert type(got) is int and got == weyl_dim_fraction(len(mult), mult), mult
+
+
+def test_enumerators_reject_rank_below_one():
+    # the empty shape used to give one tableau of any rank
+    for n in (0, -2):
+        for enum in (enum_ss_sp, enum_qs_sp, enum_ss_sl, enum_qs_sl):
+            with pytest.raises(TableauError):
+                enum(n, ())
 
 
 def brute_ss_sl(n, heights):

@@ -237,3 +237,11 @@ def test_tableau_validation():
         Tableau.sp(2, [(1,), (1, 2)])  # heights must weakly decrease
     with pytest.raises(TableauError):
         Tableau.sl(3, ((4,),))
+    # a tableau with no columns used to carry any rank, so a rank -1 request
+    # passed every check
+    for n in (0, -1):
+        for build in (Tableau.sl, Tableau.sp):
+            with pytest.raises(TableauError):
+                build(n, ())
+    with pytest.raises(ParseError):
+        tableau_from_json({"n": -1, "kind": "sp", "columns": []})
