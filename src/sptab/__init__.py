@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 
 _PUBLIC = {
     "columns": (
-        "ColumnWindow DoubledColumn SymplecticColumn dble dble_sets g_from is_admissible split_column "
+        "DoubledColumn SymplecticColumn dble dble_sets g_from is_admissible "
         "surgery_add_B surgery_add_D surgery_remove_A surgery_remove_C"
     ),
     "enumeration": (
@@ -29,7 +29,7 @@ _PUBLIC = {
     "plucker": "contract contraction_matrix exact_rank internal_relations kernel_dimension relation_rank wedge_basis",
     "tableaux": (
         "Tableau dble_tableau is_quasistandard_sl is_quasistandard_sp is_semistandard_sl "
-        "is_semistandard_sp parse pushable_rows render shape_contains skew_cells subshapes "
+        "is_semistandard_sp parse render shape_contains skew_cells "
         "tableau_from_json tableau_to_json weight_leq weight_subshapes"
     ),
     "taquin_sl": (

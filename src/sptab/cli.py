@@ -22,11 +22,14 @@ __all__ = ["main"]
 
 
 def _read_input(args) -> object:
-    if args.file:
-        with open(args.file) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    try:
+        if args.file:
+            with open(args.file) as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SptabError(f"cannot read the input: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,21 +185,16 @@ def _emit_result(args, out: dict, result, record: list | None) -> int:
     return 0
 
 
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def cmd_sjdt(args) -> int:
-    from .letters import letter_from_json
+    from .letters import _is_int, letter_from_json
     from .taquin_sp import SpSkewColumn, SpSkewTableau, shed, sjdt_to_rest, state_to_json, trace_to_json
 
     data = _read_input(args)
     if not isinstance(data, dict) or "columns" not in data:
         raise SptabError("sjdt expects a skew tableau object with columns and inner")
-    try:
-        n = int(data.get("n", args.n))
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"unreadable rank {data['n']!r}") from exc
+    n = data.get("n", args.n)
+    if not _is_int(n):
+        raise ParseError(f"unreadable rank {n!r}")
     if n != args.n:
         raise SptabError(f"--n {args.n} does not match the input rank {n}")
     raw_cols = data["columns"]

@@ -1,4 +1,4 @@
-"""Symplectic columns: admissibility, doubling, recovery, splitting, surgery.
+"""Symplectic columns: admissibility, doubling, recovery, surgery.
 
 A column is a pair of subsets (A, D) of [1, n]: the unbarred letters A read
 top-down ascending, then the barred letters D' read top-down descending in
@@ -22,14 +22,12 @@ from functools import lru_cache
 from .errors import ColumnError, GBoundaryError, InadmissibleColumnError
 
 __all__ = [
-    "ColumnWindow",
     "DoubledColumn",
     "SymplecticColumn",
     "dble",
     "dble_sets",
     "g_from",
     "is_admissible",
-    "split_column",
     "surgery_add_B",
     "surgery_add_D",
     "surgery_remove_A",
@@ -121,19 +119,6 @@ def _largest_dominated(J: list[int], pool: list[int]) -> list[int] | None:
     return out
 
 
-def _dble_sets_window(
-    A: frozenset[int], D: frozenset[int], lo: int, hi: int
-) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]] | None:
-    """(I, J, B, C) for the column (A, D) on the index window [lo, hi], or None."""
-    I = sorted(A & D)
-    pool = [x for x in range(max(lo, 1), hi + 1) if x not in A and x not in D]
-    J = _smallest_dominating(I, pool)
-    if J is None:
-        return None
-    Jf = frozenset(J)
-    return frozenset(I), Jf, (A - frozenset(I)) | Jf, (D - frozenset(I)) | Jf
-
-
 @dataclass(frozen=True)
 class DoubledColumn:
     """The double of (A, D): the witness sets, and the left column A over C'
@@ -167,10 +152,12 @@ def _double(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn | Non
     (A, C) and (B, D) columns need no check of their own: |C| = |D| and
     J lies in [1, n], so they obey the rules (A, D) was built under.
     """
-    sets = _dble_sets_window(A, D, 0, n)
-    if sets is None:
+    I = sorted(A & D)
+    J = _smallest_dominating(I, [x for x in range(1, n + 1) if x not in A and x not in D])
+    if J is None:
         return None
-    I, J, B, C = sets
+    I, J = frozenset(I), frozenset(J)
+    B, C = (A - I) | J, (D - I) | J
     return DoubledColumn(n, A, D, I, J, B, C, _codes(n, A, C), _codes(n, B, D))
 
 
@@ -215,57 +202,6 @@ def g_from(B, C, n: int) -> SymplecticColumn:
         raise GBoundaryError(f"no dominated partner of J={J} in [0,{n}] outside B∪C")
     If = frozenset(I)
     return SymplecticColumn(n, (B - frozenset(J)) | If, (C - frozenset(J)) | If)
-
-
-@dataclass(frozen=True)
-class ColumnWindow:
-    """A column over the index window [lo, hi] (both ends inclusive)."""
-
-    lo: int
-    hi: int
-    A: frozenset[int]
-    D: frozenset[int]
-
-    def dble_sets(self):
-        res = _dble_sets_window(self.A, self.D, self.lo, self.hi)
-        if res is None:
-            raise InadmissibleColumnError(
-                f"window column A={sorted(self.A)}, D={sorted(self.D)} "
-                f"not admissible on [{self.lo}, {self.hi}]"
-            )
-        return res
-
-
-def split_column(
-    col: SymplecticColumn, alpha: int, mode: str = "at_most"
-) -> tuple[ColumnWindow, ColumnWindow]:
-    """Split (A, D) at alpha into a low and a high window column.
-
-    mode "at_most" cuts into [1, alpha] and [alpha+1, n]; mode "below" into
-    [1, alpha-1] and [alpha, n].  The split is only legal at the windows
-    where doubling commutes with it; any other alpha raises ColumnError.
-    """
-    if mode == "at_most":
-        cut = alpha
-    elif mode == "below":
-        cut = alpha - 1
-    else:
-        raise ValueError(f"unknown split mode {mode!r}")
-    low = ColumnWindow(1, cut, frozenset(x for x in col.A if x <= cut), frozenset(x for x in col.D if x <= cut))
-    high = ColumnWindow(
-        cut + 1, col.n, frozenset(x for x in col.A if x > cut), frozenset(x for x in col.D if x > cut)
-    )
-    _, _, B, C = dble_sets(col)
-    try:
-        _, _, Blo, Clo = low.dble_sets()
-        _, _, Bhi, Chi = high.dble_sets()
-    except InadmissibleColumnError as exc:
-        raise ColumnError(f"split of {col} at {alpha} ({mode}) is not legal: {exc}") from exc
-    if Blo != frozenset(x for x in B if x <= cut) or Clo != frozenset(x for x in C if x <= cut):
-        raise ColumnError(f"split of {col} at {alpha} ({mode}): doubling does not commute (low part)")
-    if Bhi != frozenset(x for x in B if x > cut) or Chi != frozenset(x for x in C if x > cut):
-        raise ColumnError(f"split of {col} at {alpha} ({mode}): doubling does not commute (high part)")
-    return low, high
 
 
 def surgery_add_B(col: SymplecticColumn, u: int) -> SymplecticColumn:

@@ -90,14 +90,19 @@ def letter_to_json(letter: Letter) -> int | str:
     return letter.magnitude
 
 
+def _is_int(v: object) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def letter_from_json(value: object) -> Letter:
     if value == "-0":
         return Letter(0, True)
-    if isinstance(value, bool) or not isinstance(value, (int, dict)):
+    if not _is_int(value) and not isinstance(value, dict):
         raise LetterError(f"unreadable letter value {value!r}")
     if isinstance(value, dict):
-        try:
-            return Letter(int(value["m"]), bool(value["b"]))
-        except (KeyError, TypeError, ValueError):
-            raise LetterError(f"unreadable letter object {value!r}") from None
+        m, b = value.get("m"), value.get("b")
+        if not _is_int(m) or not isinstance(b, bool):
+            raise LetterError(f"unreadable letter object {value!r}")
+        return Letter(m, b)
     return Letter(-value, True) if value < 0 else Letter(value, False)

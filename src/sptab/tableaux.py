@@ -22,6 +22,7 @@ from .columns import SymplecticColumn, dble, is_admissible
 from .errors import ParseError, ShapeError, TableauError
 from .letters import (
     Letter,
+    _is_int,
     code as letter_code,
     format_letter,
     from_code,
@@ -47,14 +48,12 @@ __all__ = [
     "nqs_rows",
     "nqs_with_height",
     "parse",
-    "pushable_rows",
     "render",
     "render_grid",
     "row_inequality_holds",
     "shape_contains",
     "shape_to_multiplicities",
     "skew_cells",
-    "subshapes",
     "tableau_from_json",
     "tableau_to_json",
     "weight_leq",
@@ -108,22 +107,6 @@ def weight_leq(mu: tuple[int, ...], lam: tuple[int, ...], hmax: int) -> bool:
     bm = shape_to_multiplicities(mu, hmax)
     am = shape_to_multiplicities(lam, hmax)
     return all(b <= a for b, a in zip(bm, am))
-
-
-def subshapes(lam: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """All shapes contained in lambda as diagrams, without duplicates."""
-    check_shape(lam)
-
-    def rec(j: int, prev: int) -> Iterator[tuple[int, ...]]:
-        if j == len(lam):
-            yield ()
-            return
-        for h in range(min(prev, lam[j]), 0, -1):
-            for rest in rec(j + 1, h):
-                yield (h,) + rest
-        yield ()
-
-    yield from rec(0, lam[0] if lam else 0)
 
 
 def weight_subshapes(lam: tuple[int, ...], hmax: int) -> Iterator[tuple[int, ...]]:
@@ -364,11 +347,6 @@ def is_quasistandard_sp(t: Tableau) -> bool:
     return is_quasistandard_grid(dble_tableau(t))
 
 
-def pushable_rows(t: Tableau) -> tuple[int, ...]:
-    """Rows at which the double is non-quasi-standard (candidate slide rows)."""
-    return nqs_rows(dble_tableau(t))
-
-
 def nqs_with_height(t: Tableau, s: int) -> bool:
     """Pushable at s in the weak sense: a height-s column plus the cross
     inequalities on the double, without the trivial-top requirement."""
@@ -451,11 +429,13 @@ def tableau_from_json(data: object) -> Tableau:
     if not isinstance(data, dict):
         raise ParseError("tableau JSON must be an object")
     try:
-        n = int(data["n"])
+        n = data["n"]
         kind = data["kind"]
         raw_cols = data["columns"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
         raise ParseError(f"tableau JSON missing fields: {exc}") from exc
+    if not _is_int(n):
+        raise ParseError(f"tableau rank must be an integer, got {n!r}")
     if kind not in ("sl", "sp"):
         raise ParseError(f"unknown kind {kind!r}")
     if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):

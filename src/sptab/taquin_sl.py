@@ -238,11 +238,7 @@ def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> boo
 
 def _neighbours(state: _SkewTableau, i: int, j: int) -> tuple[bool, bool]:
     cols = state.columns
-    below = cols[j - 1].height >= i + 1
-    right = j < len(cols) and cols[j].height >= i
-    if right and cols[j].inner >= i:
-        raise TableauError(f"star at ({i},{j}) is not at an inner corner")
-    return below, right
+    return cols[j - 1].height >= i + 1, j < len(cols) and cols[j].height >= i
 
 
 def _move(state: _SkewTableau, i: int, j: int) -> tuple:

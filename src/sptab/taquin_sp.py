@@ -18,7 +18,7 @@ a hard invariant violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .columns import (
     SymplecticColumn,
@@ -66,12 +66,6 @@ __all__ = [
 ]
 
 
-# the checked content of each (n, A, D), and the two contents a pull leaves,
-# by (left content, right content, alpha); a failed surgery is not stored
-_content = lru_cache(maxsize=None)(SymplecticColumn)
-_PULLS: dict = {}
-
-
 @dataclass(frozen=True)
 class SpSkewColumn(_SkewColumn):
     """Vacated prefix, column content (A, D), and an optional star cell.
@@ -88,7 +82,7 @@ class SpSkewColumn(_SkewColumn):
     __hash__ = _SkewColumn.__hash__  # the stored field hash
 
     def __post_init__(self) -> None:
-        content = _content(self.n, frozenset(self.A), frozenset(self.D))
+        content = SymplecticColumn(self.n, self.A, self.D)
         self.__dict__.update(A=content.A, D=content.D, content=content)
         self._check_frame()
 
@@ -117,13 +111,9 @@ class SpSkewColumn(_SkewColumn):
         """Horizontal move: the left letter alpha at (row, right) crosses
         into this column by surgery through the doubling."""
         alpha = right.left_at(row)
-        key = (self.n, self.A, self.D, right.n, right.A, right.D, alpha)
-        if key not in _PULLS:
-            v = alpha if alpha <= self.n else 2 * self.n + 1 - alpha
-            add, remove = (surgery_add_B, surgery_remove_A) if alpha <= self.n else (surgery_add_D, surgery_remove_C)
-            new = add(self.content, v), remove(right.content, v)
-            _PULLS.setdefault(key, tuple(_content(c.n, c.A, c.D) for c in new))
-        new, new_right = _PULLS[key]
+        v = alpha if alpha <= self.n else 2 * self.n + 1 - alpha
+        add, remove = (surgery_add_B, surgery_remove_A) if alpha <= self.n else (surgery_add_D, surgery_remove_C)
+        new, new_right = add(self.content, v), remove(right.content, v)
         return (
             _interned(SpSkewColumn, new.n, self.inner, new.A, new.D, None),
             _interned(SpSkewColumn, new_right.n, right.inner, new_right.A, new_right.D, row),

@@ -4,6 +4,8 @@ import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -236,6 +238,23 @@ def test_rank_below_one_is_an_input_error():
     assert_input_error(run_cli(["enum", "--n", "-2", "--shape", "", "--predicate", "ss-sp", "--count"]))
 
 
+def test_non_integer_json_values_are_input_errors():
+    # a rank or a magnitude that is not a JSON integer, or a bar flag that is
+    # not a JSON boolean, used to be coerced: 3.9 read as 3, true as 1, "no" as barred
+    for n in ("3.9", "true", '"3"'):
+        assert_input_error(run_cli(["double", "--n", "3"], f'{{"n": {n}, "kind": "sp", "columns": [[1, 2]]}}'))
+    assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,1"], '{"n": 3.9, "columns": [[2]], "inner": [1]}'))
+    for letter in ('{"m": 1.7, "b": false}', '{"m": true, "b": false}', '{"m": 1, "b": "no"}', '{"m": 1, "b": 0}'):
+        tableau = f'{{"n": 3, "kind": "sp", "columns": [[{letter}]]}}'
+        assert_input_error(run_cli(["double", "--n", "3"], tableau))
+
+
+def test_unreadable_file_is_an_input_error(tmp_path):
+    # a missing path or a directory used to end in a traceback
+    for path in (tmp_path / "missing.json", tmp_path):
+        assert_input_error(run_cli(["double", "--n", "3", "--file", str(path)]))
+
+
 def test_psi_rejects_non_quasistandard_input():
     r = run_cli(["psi", "--n", "3", "--target-shape", "3,1,1"], '{"n": 3, "kind": "sp", "columns": [[1, 2, 3], [1]]}')
     assert_input_error(r)
@@ -257,9 +276,11 @@ PREDICATE = st.sampled_from(["ss-sp", "qs-sp", "ss-sl", "qs-sl", "admissible"])
 
 @st.composite
 def requests(draw):
-    """A well-formed argument vector and random stdin, often a tableau or a
-    skew tableau of the requested rank; real tableaux, target shapes and
-    stars reach the slides."""
+    """A well-formed argument vector, random input and where it is read from:
+    stdin (None), or --file naming a missing path, a directory or a file
+    holding the input.  The input is often a tableau or a skew tableau of
+    the requested rank; real tableaux, target shapes and stars reach the
+    slides."""
     command = draw(st.sampled_from(["double", "check", "phi", "psi", "sjdt", "enum"]))
     n = draw(st.integers(-1, 4))
     shapes = [",".join(map(str, s)) for s in shapes_up_to(max(n, 1), 4)]
@@ -300,7 +321,7 @@ def requests(draw):
                 t["inner"] = [1] + [0] * (len(t["columns"]) - 1)
             choices += [st.just(json.dumps(t))] * 3
     stdin = draw(draw(st.sampled_from(choices)))
-    return argv, stdin
+    return argv, stdin, draw(st.sampled_from([None, None, None, "missing", "directory", "file"]))
 
 
 def run_main(argv, stdin):
@@ -317,8 +338,14 @@ def run_main(argv, stdin):
 @settings(max_examples=400, deadline=None)
 @given(request=requests())
 def test_main_fuzz_exits_cleanly(request):
-    argv, stdin = request
-    code, err = run_main(argv, stdin)
+    argv, stdin, source = request
+    with tempfile.TemporaryDirectory() as tmp:
+        if source is not None:
+            path = Path(tmp) / "input.json"
+            if source == "file":
+                path.write_text(stdin, encoding="utf-8")
+            argv = argv + ["--file", tmp if source == "directory" else str(path)]
+        code, err = run_main(argv, stdin)
     assert code in (0, 1), (argv, stdin, err)
     if code == 1:
         lines = err.splitlines()

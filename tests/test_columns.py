@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sptab.columns import (
-    ColumnWindow,
     SymplecticColumn,
     dble,
     dble_sets,
     g_from,
     is_admissible,
-    split_column,
     surgery_add_B,
     surgery_add_D,
     surgery_remove_A,
@@ -148,23 +146,47 @@ def test_g_from_round_trip_random(n, data):
 
 
 # ---------------------------------------------------------------------------
-# splitting
+# splitting: cutting (A, D) at `cut` gives a rank-`cut` low part and a
+# rank-(n - cut) high part shifted down by `cut` (none when cut = n); at a
+# legal window their doubles are the low and high slices of B and C
+
+
+def split(c, cut):
+    low = col(cut, (x for x in c.A if x <= cut), (x for x in c.D if x <= cut))
+    if cut == c.n:
+        return low, None
+    return low, col(c.n - cut, (x - cut for x in c.A if x > cut), (x - cut for x in c.D if x > cut))
+
+
+def split_doubles(c, cut):
+    """(B, C) of the low part's double and of the high part's, shifted back up."""
+    low, high = split(c, cut)
+    _, _, Blo, Clo = dble_sets(low)
+    _, _, Bhi, Chi = dble_sets(high) if high else (None, None, F(), F())
+    return (Blo, Clo), (F(x + cut for x in Bhi), F(x + cut for x in Chi))
+
+
+def slices(c, cut):
+    """The low and high slices of B and C at `cut`."""
+    _, _, B, C = dble_sets(c)
+    low = F(x for x in B if x <= cut), F(x for x in C if x <= cut)
+    return low, (B - low[0], C - low[1])
 
 
 def test_split_golden_rank9():
     c = col(9, {1, 2, 3, 7, 8}, {1, 2, 3, 8})
-    low, high = split_column(c, 6)
-    assert low == ColumnWindow(1, 6, F({1, 2, 3}), F({1, 2, 3}))
-    assert high == ColumnWindow(7, 9, F({7, 8}), F({8}))
-    _, _, Bhi, Chi = high.dble_sets()
-    assert sorted(Bhi) == [7, 9] and sorted(Chi) == [9]
+    low, high = split(c, 6)
+    assert low == col(6, {1, 2, 3}, {1, 2, 3})
+    assert high == col(3, {1, 2}, {2})  # A = {7, 8}, D = {8} shifted down by 6
+    _, _, Bhi, Chi = dble_sets(high)
+    assert sorted(Bhi) == [1, 3] and sorted(Chi) == [3]  # [7, 9] and [9]
+    assert split_doubles(c, 6) == slices(c, 6)
 
 
 def test_split_at_n_is_whole_column():
     c = col(4, {1, 2}, {1})
-    low, high = split_column(c, 4)
-    assert (low.A, low.D) == (c.A, c.D)
-    assert (high.A, high.D) == (F(), F())
+    assert split(c, 4) == (c, None)
+    assert split_doubles(c, 4) == slices(c, 4)
 
 
 def test_split_commutes_on_legal_windows():
@@ -182,23 +204,24 @@ def test_split_commutes_on_legal_windows():
                 else:
                     continue
                 for alpha in legal:
-                    low, high = split_column(c, alpha)
-                    _, _, Blo, Clo = low.dble_sets()
-                    assert Blo == F(x for x in B if x <= alpha)
-                    assert Clo == F(x for x in C if x <= alpha)
+                    assert split_doubles(c, alpha) == slices(c, alpha)
 
 
 def test_split_illegal_window_raises():
-    # [1,1'] for rank 2: B = {2}, C = {2}; alpha = 1 separates I from J
-    with pytest.raises(ColumnError):
-        split_column(col(2, {1}, {1}), 1)
+    # [1,1'] for rank 2: B = {2}, C = {2}; cutting at 1 separates I from J,
+    # so the low part [1,1'] of rank 1 has no witness
+    low, _ = split(col(2, {1}, {1}), 1)
+    assert not is_admissible(low)
+    with pytest.raises(InadmissibleColumnError):
+        split_doubles(col(2, {1}, {1}), 1)
 
 
 def test_split_strict_mode():
+    # the "below" mode at alpha = 4 cuts at alpha - 1 = 3
     c = col(4, {1, 2}, {1})  # B = {2,3}, C = {3}
-    low, high = split_column(c, 4, mode="below")
-    assert (low.A, low.D) == (F({1, 2}), F({1}))
-    assert (high.A, high.D) == (F(), F())
+    low, high = split(c, 4 - 1)
+    assert low == col(3, {1, 2}, {1}) and high == col(1, (), ())
+    assert split_doubles(c, 3) == slices(c, 3)
 
 
 # ---------------------------------------------------------------------------

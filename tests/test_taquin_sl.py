@@ -126,9 +126,10 @@ def all_pointed_states(n, max_boxes):
 
 
 def subshapes_list(lam):
-    from sptab.tableaux import subshapes
+    from sptab.enumeration import shapes_up_to
+    from sptab.tableaux import shape_contains
 
-    return list(subshapes(lam))
+    return [mu for mu in shapes_up_to(lam[0], sum(lam)) if shape_contains(mu, lam)]
 
 
 def inner_corners(mu):

@@ -46,8 +46,6 @@ def clear_memos():
     taquin_sl._MOVES.clear()
     taquin_sl._PAIRS.clear()
     taquin_sl._SkewColumn._sound.cache_clear()
-    taquin_sp._PULLS.clear()
-    taquin_sp._content.cache_clear()
 
 
 @pytest.fixture
@@ -274,12 +272,12 @@ def test_slide_pass_requires_nqs():
 
 def test_slide_pass_shape_bookkeeping():
     from sptab.enumeration import enum_ss_sp, shapes_up_to
-    from sptab.tableaux import pushable_rows, shape_to_multiplicities
+    from sptab.tableaux import dble_tableau, nqs_rows, shape_to_multiplicities
 
     n = 2
     for lam in shapes_up_to(n, 4):
         for t in enum_ss_sp(n, lam):
-            rows = pushable_rows(t)
+            rows = nqs_rows(dble_tableau(t))
             if not rows:
                 continue
             s = max(rows)
@@ -538,8 +536,8 @@ def surgery_pull(left, right, row):
     return SpSkewColumn(n, left.inner, new.A, new.D), SpSkewColumn(n, right.inner, new_right.A, new_right.D, row)
 
 
-def test_memoised_pull_equals_the_surgeries(monkeypatch):
-    legal, illegal = [], 0
+def test_pull_equals_the_surgeries():
+    legal = illegal = 0
     for n in (1, 2, 3):
         cols = [SymplecticColumn(n, F(), F())] + [c for k in range(1, n + 1) for c in enum_admissible_columns(n, k)]
         for a in cols:
@@ -550,20 +548,14 @@ def test_memoised_pull_equals_the_surgeries(monkeypatch):
                         expected = surgery_pull(left, right, row)
                     except SptabError as exc:
                         illegal += 1
-                        for _ in range(2):  # a failed surgery is not stored
-                            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                                left.pull(right, row)
+                        with pytest.raises(type(exc), match=re.escape(str(exc))):
+                            left.pull(right, row)
                         continue
                     got = left.pull(right, row)
                     assert got == expected
                     assert [c.height for c in got] == [c.height for c in expected]
-                    legal.append((left, right, row, got))
-    assert (len(legal), illegal) == (1818, 988)
-    # a repeated pull is answered from the memo, without a surgery
-    for name in ("surgery_add_B", "surgery_add_D", "surgery_remove_A", "surgery_remove_C"):
-        monkeypatch.setattr(taquin_sp, name, None)
-    for left, right, row, got in legal:
-        assert left.pull(right, row) == got
+                    legal += 1
+    assert (legal, illegal) == (1818, 988)
 
 
 def round_trips():
@@ -591,8 +583,6 @@ def memo_sizes():
         len(taquin_sl._MOVES),
         len(taquin_sl._PAIRS),
         taquin_sl._SkewColumn._sound.cache_info().currsize,
-        len(taquin_sp._PULLS),
-        taquin_sp._content.cache_info().currsize,
         columns._double.cache_info().currsize,
     )
 
@@ -615,7 +605,7 @@ def test_memos_are_keyed_by_content_not_by_call():
 
 def bare_step(state):
     """One slide move by the rule alone: the neighbours, the comparison and
-    the horizontal move, outside the step table and the surgery memo."""
+    the horizontal move, outside the step table."""
     i, j = state.star
     below, right = taquin_sl._neighbours(state, i, j)
     if not below and not right:
