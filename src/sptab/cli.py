@@ -130,9 +130,7 @@ def cmd_enum(args) -> int:
             "qs-sp": enum_qs_sp,
             "ss-sl": enum_ss_sl,
             "qs-sl": enum_qs_sl,
-        }.get(args.predicate)
-        if fn is None:
-            raise SptabError(f"unknown predicate {args.predicate}")
+        }[args.predicate]
         items = fn(args.n, shape)
     if args.count:
         _emit({"count": len(items)})
@@ -222,6 +220,8 @@ def cmd_sjdt(args) -> int:
         else:
             cols.append(SpSkewColumn(n, inn, A, D))
     state = SpSkewTableau(n, tuple(cols))
+    for c in cols:
+        c.grid()  # every column needs a double, whether the slide reads it or not
     record: list = []
     rest, path = sjdt_to_rest(state, record)
     final = shed(rest)
@@ -236,72 +236,80 @@ def cmd_sjdt(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
+def _check_verify_rank(args) -> None:
     if args.n < 1:
         raise SptabError(f"rank must be positive, got --n {args.n}")
-    if args.what == "bijection":
-        if args.max_boxes < 0:
-            raise SptabError(f"--max-boxes must be non-negative, got {args.max_boxes}")
-        if args.jobs < 1:
-            raise SptabError(f"--jobs must be at least 1, got {args.jobs}")
-        from .enumeration import shapes_up_to, verify_bijection, weyl_dim_sp
-        from .tableaux import shape_to_multiplicities
 
-        shapes = shapes_up_to(args.n, args.max_boxes)
-        if args.jobs > 1:
-            from multiprocessing import Pool
 
-            # largest shapes first, one per task, so no worker is left with a
-            # chunk of the big ones; reports go back in shapes_up_to order
-            order = sorted(shapes, key=lambda s: -weyl_dim_sp(args.n, shape_to_multiplicities(s, args.n)))
-            with Pool(min(args.jobs, len(shapes))) as pool:
-                done = pool.starmap(verify_bijection, [(args.n, s) for s in order], chunksize=1)
-            by_shape = dict(zip(order, done))
-            reports = [by_shape[s] for s in shapes]
-        else:
-            reports = [verify_bijection(args.n, s) for s in shapes]
-        ok = all(r["status"] == "pass" for r in reports)
-        _emit({"n": args.n, "max_boxes": args.max_boxes, "reports": reports, "status": "pass" if ok else "fail"})
-        return 0 if ok else 2
-    if args.what == "dims":
-        if min(args.max_k, args.n) < 2:  # no height from 2 to min(max_k, n) to check
-            raise SptabError(f"--max-k and --n must be at least 2, got {args.max_k} and {args.n}")
-        from .enumeration import enum_admissible_columns
-        from .plucker import kernel_dimension
+def cmd_verify_bijection(args) -> int:
+    _check_verify_rank(args)
+    if args.max_boxes < 0:
+        raise SptabError(f"--max-boxes must be non-negative, got {args.max_boxes}")
+    if args.jobs < 1:
+        raise SptabError(f"--jobs must be at least 1, got {args.jobs}")
+    from .enumeration import shapes_up_to, verify_bijection, weyl_dim_sp
+    from .tableaux import shape_to_multiplicities
 
-        results = []
-        for k in range(2, min(args.max_k, args.n) + 1):
-            kernel = kernel_dimension(args.n, k)
-            formula = comb(2 * args.n, k) - comb(2 * args.n, k - 2)
-            adm = len(enum_admissible_columns(args.n, k))
-            results.append(
-                {"k": k, "admissible": adm, "kernel": kernel, "formula": formula, "ok": adm == kernel == formula}
-            )
-        ok = all(r["ok"] for r in results)
-        _emit({"n": args.n, "results": results, "status": "pass" if ok else "fail"})
-        return 0 if ok else 2
-    if args.what == "plucker":
-        from .plucker import contraction_matrix, exact_rank
+    shapes = shapes_up_to(args.n, args.max_boxes)
+    if args.jobs > 1:
+        from multiprocessing import Pool
 
-        rows = contraction_matrix(args.n, args.k)
-        rank = exact_rank(rows)
-        kernel = comb(2 * args.n, args.k) - rank
-        expected = comb(2 * args.n, args.k) - comb(2 * args.n, args.k - 2)
-        report = {
-            "n": args.n,
-            "k": args.k,
-            "rows": len(rows),
-            "cols": comb(2 * args.n, args.k),
-            "rank": rank,
-            "kernel": kernel,
-            "expected_kernel": expected,
-            "status": "pass" if kernel == expected else "fail",
-        }
-        if args.dump_matrix:
-            report["triplets"] = [[r, c, v] for r, row in enumerate(rows) for c, v in row.items()]
-        _emit(report)
-        return 0 if report["status"] == "pass" else 2
-    raise SptabError(f"unknown verification {args.what!r}")
+        # largest shapes first, one per task, so no worker is left with a
+        # chunk of the big ones; reports go back in shapes_up_to order
+        order = sorted(shapes, key=lambda s: -weyl_dim_sp(args.n, shape_to_multiplicities(s, args.n)))
+        with Pool(min(args.jobs, len(shapes))) as pool:
+            done = pool.starmap(verify_bijection, [(args.n, s) for s in order], chunksize=1)
+        by_shape = dict(zip(order, done))
+        reports = [by_shape[s] for s in shapes]
+    else:
+        reports = [verify_bijection(args.n, s) for s in shapes]
+    ok = all(r["status"] == "pass" for r in reports)
+    _emit({"n": args.n, "max_boxes": args.max_boxes, "reports": reports, "status": "pass" if ok else "fail"})
+    return 0 if ok else 2
+
+
+def cmd_verify_dims(args) -> int:
+    _check_verify_rank(args)
+    if min(args.max_k, args.n) < 2:  # no height from 2 to min(max_k, n) to check
+        raise SptabError(f"--max-k and --n must be at least 2, got {args.max_k} and {args.n}")
+    from .enumeration import enum_admissible_columns
+    from .plucker import kernel_dimension
+
+    results = []
+    for k in range(2, min(args.max_k, args.n) + 1):
+        kernel = kernel_dimension(args.n, k)
+        formula = comb(2 * args.n, k) - comb(2 * args.n, k - 2)
+        adm = len(enum_admissible_columns(args.n, k))
+        results.append(
+            {"k": k, "admissible": adm, "kernel": kernel, "formula": formula, "ok": adm == kernel == formula}
+        )
+    ok = all(r["ok"] for r in results)
+    _emit({"n": args.n, "results": results, "status": "pass" if ok else "fail"})
+    return 0 if ok else 2
+
+
+def cmd_verify_plucker(args) -> int:
+    _check_verify_rank(args)
+    from .plucker import contraction_matrix, exact_rank
+
+    rows = contraction_matrix(args.n, args.k)
+    rank = exact_rank(rows)
+    kernel = comb(2 * args.n, args.k) - rank
+    expected = comb(2 * args.n, args.k) - comb(2 * args.n, args.k - 2)
+    report = {
+        "n": args.n,
+        "k": args.k,
+        "rows": len(rows),
+        "cols": comb(2 * args.n, args.k),
+        "rank": rank,
+        "kernel": kernel,
+        "expected_kernel": expected,
+        "status": "pass" if kernel == expected else "fail",
+    }
+    if args.dump_matrix:
+        report["triplets"] = [[r, c, v] for r, row in enumerate(rows) for c, v in row.items()]
+    _emit(report)
+    return 0 if report["status"] == "pass" else 2
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,16 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--max-boxes", type=int, required=True)
     v.add_argument("--jobs", type=int, default=1)
-    v.set_defaults(fn=cmd_verify, what="bijection")
+    v.set_defaults(fn=cmd_verify_bijection)
     v = vs.add_parser("dims")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--max-k", type=int, required=True)
-    v.set_defaults(fn=cmd_verify, what="dims")
+    v.set_defaults(fn=cmd_verify_dims)
     v = vs.add_parser("plucker")
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--k", type=int, required=True)
     v.add_argument("--dump-matrix", action="store_true")
-    v.set_defaults(fn=cmd_verify, what="plucker")
+    v.set_defaults(fn=cmd_verify_plucker)
 
     return p
 

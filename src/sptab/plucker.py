@@ -1,12 +1,13 @@
-"""The contraction map on wedge basis vectors, the internal relations among
-column functions as its transpose rows, and exact integer rank computations.
+"""The contraction map on wedge basis vectors, whose sparse rows are the
+internal relations among column functions, and exact integer rank
+computations.
 
 Wedge basis elements of degree k are strictly increasing tuples of letter
 codes over the 2n-letter alphabet.  The symplectic form pairs e_l with
 e_l-bar, so contracting a basis wedge keeps exactly the position pairs
 (i < j) whose letters are a bar pair, with sign (-1)^(i+j-1); signs are
-computed here once and the relations reuse them through the transpose, so
-the two sides cannot drift apart.
+computed here once, and the relation rank reads them from the contraction
+matrix, so the two sides cannot drift apart.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "contract",
     "contraction_matrix",
     "exact_rank",
-    "internal_relations",
     "kernel_dimension",
     "relation_rank",
     "wedge_basis",
@@ -69,15 +69,6 @@ def contraction_matrix(n: int, k: int) -> list[Row]:
         for e, coeff in contract(w, n).items():
             rows[index[e]][c] = coeff
     return rows
-
-
-def internal_relations(n: int, k: int) -> list[FormalVector]:
-    """One relation per degree-(k-2) basis wedge: its row of the contraction
-    matrix, i.e. the signed sum of the wedges obtained by inserting a bar
-    pair."""
-    rows = contraction_matrix(n, k)
-    wedges = wedge_basis(n, k)
-    return [{wedges[c]: v for c, v in row.items()} for row in rows]
 
 
 def exact_rank(rows: Iterable[Row]) -> int:

@@ -24,25 +24,28 @@ A slide step reads and changes only the column j the star leaves and
 column j+1.  A vertical move reframes column j around the same letters; a
 horizontal move puts in the two columns the model's move returns.  Columns
 come from one intern table keyed by the model's letters and the frame
-(inner, star_row), so each distinct column is built, checked, hashed and
-judged on its own once per process.  The step table `_MOVES` holds the new
-columns of each move by its pair (column j, column j+1), so a move is
-worked out once per distinct pair; a move that raises is not stored.  The
-new state checks its frame (outer and inner heights weakly decreasing, at
-most one star, and in the symplectic model one rank) only where the new
-columns meet their neighbours.  When a slide is checked, the state after
-its first move is checked whole and each later state only on columns
-j-1 .. j+2, which decides the whole check because every other column and
-pair is as in the state before.  A check is the verdicts, memoised in
-`_PAIRS`, on the pairs of neighbours in its range: both columns sound on
-their own, the right one no taller, and their shared rows in order.
+(inner, star_row), so each distinct column is built, checked and hashed
+once per process, and lays out its grid by row (`placed`) once, at first
+read.  The step table `_MOVES` holds the new columns of each move by its
+pair (column j, column j+1), so a move is worked out once per distinct
+pair; a move that raises is not stored.  No move changes the shape of the
+skew region, so the public constructor is the one place that checks a
+frame (outer and inner heights weakly decreasing, at most one star, and in
+the symplectic model one rank): a worked-out move is a trap if its columns'
+heights, inner heights or star rows differ from what the move implies, and
+steps, sheds and star insertions then build their states unchecked.  When
+a slide is checked, the state after its first move is checked whole and
+each later state only on columns j-1 .. j+2, which decides the whole check
+because every other column and pair is as in the state before.  A check is
+the verdicts, memoised in `_PAIRS`, of one grid pass
+(`first_grid_violation`) over the placed halves of each pair of neighbours
+in its range.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from operator import gt
+from functools import cached_property
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
@@ -62,8 +65,6 @@ __all__ = [
     "SlSkewColumn",
     "SlSkewTableau",
     "expand_sl",
-    "is_semistandard_skew_sl",
-    "jdt_inverse",
     "jdt_step",
     "jdt_to_rest",
     "reduce_sl",
@@ -116,24 +117,17 @@ class _SkewColumn:
             out.insert(self.star_row - 1, None)
         return out
 
-    def _at(self, codes: tuple[int, ...], row: int) -> int | None:
-        """The code placed at `row` (1-based) by `rows`, without the list."""
-        if not 0 < row <= self.height:
-            raise IndexError(f"row {row} outside 1..{self.height}")
-        if row <= self.inner or row == self.star_row:
-            return None
-        return codes[row - self.inner - 1 - (self.star_row is not None and row > self.star_row)]
+    @cached_property
+    def placed(self) -> tuple[list[int | None], ...]:
+        """The halves of the grid, each placed by `rows`; kept from the first
+        read on, not built eagerly: a column with no double raises here."""
+        return tuple(self.rows(codes) for codes in self.grid())
 
     def left_at(self, row: int) -> int | None:
-        return self._at(self.grid()[0], row)
+        return self.placed[0][row - 1]
 
     def right_at(self, row: int) -> int | None:
-        return self._at(self.grid()[-1], row)
-
-    @lru_cache(maxsize=None)
-    def _sound(self) -> bool:
-        """The column's own halves, placed by row, are a semi-standard grid."""
-        return first_grid_violation([self.rows(codes) for codes in self.grid()]) is None
+        return self.placed[-1][row - 1]
 
     def turned(self, H: int, n: int):
         """The column turned upside down in a rectangle of height H."""
@@ -150,25 +144,27 @@ class _SkewTableau:
     columns: tuple
 
     def __post_init__(self) -> None:
-        self._check_frame(0, len(self.columns), None)
+        self._check_frame()
 
-    def _check_frame(self, lo: int, hi: int, star: tuple[int, int] | None) -> None:
-        """Check columns[lo:hi] and the pairs they form with their neighbours,
-        given the star outside them (the rest of the frame is known to hold),
-        and store the star.  The messages name the whole state."""
+    def _check_frame(self) -> None:
+        """Check the frame and store the star."""
         cols = self.columns
-        pairs = range(max(lo, 1), min(hi + 1, len(cols)))
-        for k in pairs:
-            if cols[k].height > cols[k - 1].height or cols[k].inner > cols[k - 1].inner:
-                outer = any(cols[m].height > cols[m - 1].height for m in pairs)  # named first
-                name, attr = ("outer", "height") if outer else ("inner", "inner")
-                raise TableauError(f"{name} heights {tuple(getattr(c, attr) for c in cols)} not weakly decreasing")
-        for k, c in enumerate(cols[lo:hi], lo + 1):
-            if c.star_row is not None:
-                if star is not None:
-                    raise TableauError("more than one star")
-                star = (c.star_row, k)
-        self.__dict__["star"] = star
+        for name, attr in (("outer", "height"), ("inner", "inner")):
+            hs = tuple(getattr(c, attr) for c in cols)
+            if any(a < b for a, b in zip(hs, hs[1:])):
+                raise TableauError(f"{name} heights {hs} not weakly decreasing")
+        stars = [(c.star_row, k) for k, c in enumerate(cols, 1) if c.star_row is not None]
+        if len(stars) > 1:
+            raise TableauError("more than one star")
+        self.__dict__["star"] = stars[0] if stars else None
+
+    def _with(self, col: int, new: tuple, star: tuple[int, int] | None):
+        """Columns col, col+1, ... (1-based) replaced by `new`, the star at
+        `star`; unchecked, so the caller must keep the frame."""
+        state = object.__new__(type(self))
+        cols = self.columns
+        state.__dict__.update(n=self.n, columns=cols[: col - 1] + new + cols[col - 1 + len(new) :], star=star)
+        return state
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -182,18 +178,6 @@ class _SkewTableau:
     def zero_present(self) -> bool:
         return any(c.has_zero for c in self.columns)
 
-    def replace_col(self, col: int, *new):
-        """Columns col, col+1, ... (1-based) replaced by the given ones; the
-        frame is checked only where the new columns touch it."""
-        if not 1 <= col <= len(self.columns):
-            raise TableauError(f"column {col} outside 1..{len(self.columns)}")
-        lo, hi = col - 1, col - 1 + len(new)
-        state = object.__new__(type(self))
-        state.__dict__.update(n=self.n, columns=self.columns[:lo] + new + self.columns[hi:])
-        star = self.star
-        state._check_frame(lo, hi, None if star is None or lo < star[1] <= hi else star)
-        return state
-
     def rotated(self):
         """Rotate 180 degrees in the bounding rectangle, star to star; the
         column model reverses the letters."""
@@ -203,30 +187,19 @@ class _SkewTableau:
         return type(self)(self.n, tuple(c.turned(H, self.n) for c in reversed(self.columns)))
 
 
-def _pair_verdict(p: _SkewColumn, c: _SkewColumn) -> bool:
-    """Both columns are sound, c is no taller than its left neighbour p, and
-    p's right half is at most c's left half in each row filled in both: past
-    the vacated cells, before and after the pair's one star."""
-    a, b, lo = p.grid()[-1], c.grid()[0], max(p.inner, c.inner)
-    star = p.star_row or c.star_row or c.height + 1
-    mid, top = max(star - 1, lo), max(star, lo)
-    left = a[lo - p.inner : mid - p.inner] + a[top - p.inner - (p.star_row is not None) :]
-    right = b[lo - c.inner : mid - c.inner] + b[top - c.inner - (c.star_row is not None) :]
-    return p._sound() and c._sound() and c.height <= p.height and not any(map(gt, left, right))
-
-
 def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> bool:
     """The columns of the model's grid are semi-standard away from star and
-    vacated cells, which are None in the rows and skipped.  With `cols` (a
-    range of 1-based model columns) only those columns and the pairs of
-    neighbours among them are read, each pair's verdict once."""
+    vacated cells, which are None in the placed halves and skipped.  With
+    `cols` (a range of 1-based model columns) only those columns and the
+    pairs of neighbours among them are read, each pair's verdict once."""
     columns = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
     if len(columns) == 1:
-        return columns[0]._sound()
+        return first_grid_violation(columns[0].placed) is None
     for pair in zip(columns, columns[1:]):
         ok = _PAIRS.get(pair)
         if ok is None:
-            ok = _PAIRS.setdefault(pair, _pair_verdict(*pair))
+            p, c = pair
+            ok = _PAIRS.setdefault(pair, first_grid_violation(p.placed + c.placed) is None)
         if not ok:
             return False
     return True
@@ -254,6 +227,19 @@ def _move(state: _SkewTableau, i: int, j: int) -> tuple:
     return col.pull(state.columns[j], i)
 
 
+def _framed(old: tuple, new: tuple, i: int, j: int) -> tuple:
+    """The columns of a move of the star at (i, j), after checking that they
+    keep the heights and inner heights of the columns they replace and hold
+    the star where the move puts it: row i+1 of column j, or row i of j+1."""
+    stars = (i + 1,) if len(new) == 1 else (None, i)
+    if new and (
+        [(c.height, c.inner) for c in new] != [(c.height, c.inner) for c in old[: len(new)]]
+        or tuple(c.star_row for c in new) != stars
+    ):
+        raise TaquinInvariantError(f"the move of the star at ({i}, {j}) changed the frame")
+    return new
+
+
 def _step(state: _SkewTableau):
     """One slide move; None when the star rests at an outer corner.  A move
     reads only columns j and j+1; one that raises is not stored."""
@@ -264,8 +250,10 @@ def _step(state: _SkewTableau):
     key = state.columns[j - 1 : j + 1]
     new = _MOVES.get(key)
     if new is None:
-        new = _MOVES.setdefault(key, _move(state, i, j))
-    return state.replace_col(j, *new) if new else None
+        new = _MOVES.setdefault(key, _framed(key, _move(state, i, j), i, j))
+    if not new:
+        return None
+    return state._with(j, new, (i + 1, j) if len(new) == 1 else (i, j + 1))
 
 
 def _to_rest(state, step, record: list | None = None, check=None):
@@ -302,7 +290,7 @@ def shed(state):
     if below or right:
         raise TableauError("star is not resting at an outer corner")
     col = state.columns[j - 1]
-    return state.replace_col(j, col.reframed(col.inner, None))
+    return state._with(j, (col.reframed(col.inner, None),), None)
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +372,10 @@ def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = N
     for k in range(len(fill), 0, -1):
         i, j = fill[k - 1]
         row, col = hmax + 1 - i, W + 1 - (j + d)
-        c = state.columns[col - 1]
-        if c.inner != row:
-            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not the bottom vacated cell")
-        state = state.replace_col(col, c.reframed(c.inner - 1, row))
+        c, right = state.columns[col - 1], state.columns[col : col + 1]
+        if c.inner != row or (right and right[0].inner >= row):
+            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not at an inner corner")
+        state = state._with(col, (c.reframed(row - 1, row),), (row, col))
         rest, path = to_rest(state)
         if rest.zero_present:
             raise TaquinInvariantError("extended letter 0 appeared during the inverse")
@@ -465,11 +453,6 @@ class SlSkewTableau(_SkewTableau):
     kind = "sl"
 
 
-def is_semistandard_skew_sl(state: SlSkewTableau) -> bool:
-    """Adjacent letter-filled cells satisfy the row/column conditions."""
-    return _is_semistandard_skew(state)
-
-
 def jdt_step(state: SlSkewTableau) -> SlSkewTableau | None:
     """One slide move; None when the star rests at an outer corner."""
     return _step(state)
@@ -483,12 +466,6 @@ def jdt_to_rest(state: SlSkewTableau) -> tuple[SlSkewTableau, list[tuple[int, in
 def sigma_sl(state: SlSkewTableau) -> SlSkewTableau:
     """Rotate 180 degrees in the bounding rectangle and map entries by n+1-t."""
     return state.rotated()
-
-
-def jdt_inverse(state: SlSkewTableau) -> SlSkewTableau:
-    """Inverse slide: the reversal conjugate of the forward slide."""
-    rest, _ = jdt_to_rest(sigma_sl(state))
-    return sigma_sl(rest)
 
 
 # ---------------------------------------------------------------------------

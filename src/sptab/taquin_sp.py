@@ -18,7 +18,6 @@ a hard invariant violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .columns import (
     SymplecticColumn,
@@ -95,11 +94,6 @@ class SpSkewColumn(_SkewColumn):
         return 0 in self.A or 0 in self.D
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self._halves
-
-    @cached_property
-    def _halves(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # kept from the first call on, not built eagerly: a column with no double raises here
         d = double_of(self.n, self.A, self.D)
         return d.left, d.right
 
@@ -137,9 +131,9 @@ class SpSkewTableau(_SkewTableau):
     column = SpSkewColumn
     kind = "sp"
 
-    def _check_frame(self, lo: int, hi: int, star: tuple[int, int] | None) -> None:
-        super()._check_frame(lo, hi, star)
-        if any(c.n != self.n for c in self.columns[lo:hi]):
+    def _check_frame(self) -> None:
+        super()._check_frame()
+        if any(c.n != self.n for c in self.columns):
             raise TableauError("column rank mismatch")
 
 

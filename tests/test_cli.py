@@ -172,6 +172,17 @@ def test_sjdt_rejects_letter_above_rank():
     assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,1"], '{"n": 3, "columns": [[5]], "inner": [1]}'))
 
 
+def test_sjdt_rejects_a_column_without_a_double():
+    # the slide of the first input never reads the double of [1,2,2']
+    for n, skew, column in (
+        (2, '{"n":2,"columns":[[1,2,-2]],"inner":[1]}', "[1,2,2']"),
+        (3, '{"n":3,"columns":[[1,2,3,-3],[1]],"inner":[1,0]}', "[1,2,3,3']"),
+    ):
+        r = run_cli(["sjdt", "--n", str(n), "--star", "1,1"], skew)
+        assert_input_error(r)
+        assert r.stderr == f"error: column {column} is not admissible for rank {n}\n"
+
+
 def test_double_dash_option_value_is_an_input_error():
     # argparse hands "--shape=--" over as an empty list, not a string
     assert_input_error(run_cli(["enum", "--n", "3", "--shape=--", "--predicate", "ss-sp"]))

@@ -11,7 +11,6 @@ from sptab.plucker import (
     contract,
     contraction_matrix,
     exact_rank,
-    internal_relations,
     kernel_dimension,
     relation_rank,
     wedge_basis,
@@ -95,6 +94,13 @@ def test_contract_adjoint_to_wedging_with_form():
                         expansion[sorted_w] = expansion.get(sorted_w, 0) + sign
                 for w in wedge_basis(n, k):
                     assert contract(w, n).get(E, 0) == expansion.get(w, 0)
+
+
+def internal_relations(n, k):
+    """One relation per degree-(k-2) basis wedge: its row of the contraction
+    matrix, keyed by the degree-k wedges."""
+    wedges = wedge_basis(n, k)
+    return [{wedges[c]: v for c, v in row.items()} for row in contraction_matrix(n, k)]
 
 
 def test_internal_relations_rank2():

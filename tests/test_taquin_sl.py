@@ -2,13 +2,11 @@
 import pytest
 
 from sptab.errors import ShapeError, TableauError
-from sptab.tableaux import Tableau, nqs_rows, skew_cells, weight_subshapes
+from sptab.tableaux import Tableau, first_grid_violation, nqs_rows, skew_cells, weight_subshapes
 from sptab.taquin_sl import (
     SlSkewColumn,
     SlSkewTableau,
     expand_sl,
-    is_semistandard_skew_sl,
-    jdt_inverse,
     jdt_step,
     jdt_to_rest,
     reduce_sl,
@@ -22,6 +20,17 @@ N = 7
 
 def skew(n, *cols):
     return SlSkewTableau(n, tuple(SlSkewColumn(*c) for c in cols))
+
+
+def is_semistandard_skew_sl(state):
+    """One generic grid pass over the letters placed by row, None at vacated
+    and star cells."""
+    return first_grid_violation([c.rows(c.letters) for c in state.columns]) is None
+
+
+def jdt_inverse(state):
+    """Inverse slide: the reversal conjugate of the forward slide."""
+    return sigma_sl(jdt_to_rest(sigma_sl(state))[0])
 
 
 # the two worked slide chains (rank 7 letters)

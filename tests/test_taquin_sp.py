@@ -2,7 +2,7 @@ import dataclasses
 import re
 
 import pytest
-from hypothesis import assume, given, reject, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from sptab import columns, tableaux, taquin_sl, taquin_sp
 from sptab.cli import main
@@ -45,7 +45,6 @@ def clear_memos():
     taquin_sl._COLUMNS.clear()
     taquin_sl._MOVES.clear()
     taquin_sl._PAIRS.clear()
-    taquin_sl._SkewColumn._sound.cache_clear()
 
 
 @pytest.fixture
@@ -357,13 +356,20 @@ def test_windowed_check_agrees_with_full():
     assert checked > 1000
 
 
+def replaced(state, k, *new):
+    """The state with columns k, k+1, ... (1-based) replaced by `new`, built
+    through the public constructor."""
+    cols = state.columns
+    return type(state)(state.n, cols[: k - 1] + new + cols[k - 1 + len(new) :])
+
+
 def refilled(state, k, barred):
     """Column k refilled, in its frame, with the smallest letters 1, 2, ...
     or, barred, with the largest ..., 2', 1'."""
     c = state.columns[k - 1]
     letters = F(range(1, c.size + 1))
     A, D = (F(), letters) if barred else (letters, F())
-    return state.replace_col(k, SpSkewColumn(state.n, c.inner, A, D, c.star_row))
+    return replaced(state, k, SpSkewColumn(state.n, c.inner, A, D, c.star_row))
 
 
 def corrupt_move(monkeypatch, move, col, barred=False):
@@ -410,74 +416,6 @@ def test_trap_fires_outside_the_window_on_the_first_move(monkeypatch):
     assert len(after) == 1
     assert not is_semistandard_skew_sp(after[0])
     assert is_semistandard_skew_sp(after[0], range(0, 4))
-
-
-def test_replace_col_rejects_a_column_outside_the_state():
-    # an index outside 1..3 is an error, not a slice from the end
-    for col in (0, -1, 4):
-        with pytest.raises(TableauError):
-            CHAIN_ONE.replace_col(col, CHAIN_ONE.columns[0])
-
-
-@st.composite
-def skew_columns(draw, n, star):
-    inner = draw(st.integers(0, 2))
-    A = draw(st.frozensets(st.integers(0, n), max_size=2))
-    D = draw(st.frozensets(st.integers(0, n), max_size=2))
-    assume(len(A) + len(D) <= n + 1)
-    row = inner + draw(st.integers(1, len(A) + len(D) + 1)) if star else None
-    return SpSkewColumn(n, inner, A, D, row)
-
-
-@st.composite
-def replacements(draw):
-    """A valid skew state, a column index and replacement columns, which may
-    break its frame (heights, stars, rank) or not."""
-    n = draw(st.integers(1, 3))
-    cols = draw(st.lists(skew_columns(n, False), min_size=1, max_size=4))
-    cols.sort(key=lambda c: (c.height, c.inner), reverse=True)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, len(cols) - 1))
-        cols[k] = draw(skew_columns(n, True))
-    try:
-        state = SpSkewTableau(n, tuple(cols))
-    except TableauError:
-        reject()
-    j = draw(st.integers(1, len(cols)))
-    rank = draw(st.sampled_from([n, n, n, n + 1]))
-    new = draw(st.lists(skew_columns(rank, draw(st.booleans())), min_size=1, max_size=2))
-    return state, j, new
-
-
-def frame_holds(n, cols):
-    """The frame rules of a skew state, stated directly."""
-    hs, inners = [c.height for c in cols], [c.inner for c in cols]
-    return (
-        hs == sorted(hs, reverse=True)
-        and inners == sorted(inners, reverse=True)
-        and sum(c.star_row is not None for c in cols) <= 1
-        and all(c.n == n for c in cols)
-    )
-
-
-@settings(max_examples=250, deadline=None)
-@given(case=replacements())
-def test_replace_col_frame_check_matches_full(case):
-    state, j, new = case
-    cols = list(state.columns)
-    cols[j - 1 : j - 1 + len(new)] = new
-    try:
-        expected = SpSkewTableau(state.n, tuple(cols))
-    except TableauError as exc:
-        assert not frame_holds(state.n, cols)
-        with pytest.raises(TableauError) as info:
-            state.replace_col(j, *new)
-        assert str(info.value) == str(exc)
-    else:
-        assert frame_holds(state.n, cols)
-        got = state.replace_col(j, *new)
-        assert got == expected
-        assert (got.star, got.heights, got.inners) == (expected.star, expected.heights, expected.inners)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +520,6 @@ def memo_sizes():
         len(taquin_sl._COLUMNS),
         len(taquin_sl._MOVES),
         len(taquin_sl._PAIRS),
-        taquin_sl._SkewColumn._sound.cache_info().currsize,
         columns._double.cache_info().currsize,
     )
 
@@ -612,23 +549,66 @@ def bare_step(state):
         return None
     col = state.columns[j - 1]
     if below and (not right or col.right_at(i + 1) <= state.columns[j].left_at(i)):
-        return state.replace_col(j, col.reframed(col.inner, i + 1))
+        return replaced(state, j, col.reframed(col.inner, i + 1))
     pull = surgery_pull if isinstance(col, SpSkewColumn) else SlSkewColumn.pull
-    return state.replace_col(j, *pull(col, state.columns[j], i))
+    return replaced(state, j, *pull(col, state.columns[j], i))
 
 
-def test_step_table_equals_the_bare_rule(monkeypatch):
+def slid_states(monkeypatch):
+    """Every state phi then psi record at n=3 up to 4 boxes, and every state
+    handed to a step by the classical round trips at n=4 up to 4 boxes."""
     states = []
     for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sp(3, lam)]:
         mu, q = phi(t, states)
         psi(t.shape, mu, q, states)
     step = taquin_sl.jdt_step
-    monkeypatch.setattr(taquin_sl, "jdt_step", lambda state: states.append(state) or step(state))
-    for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sl(4, lam)]:
-        mu, q = reduce_sl(t)
-        assert expand_sl(t.shape, mu, q) == t
-    states = [state for state in states if state.star is not None]
+    with monkeypatch.context() as patch:
+        patch.setattr(taquin_sl, "jdt_step", lambda state: states.append(state) or step(state))
+        for t in [t for lam in shapes_up_to(3, 4) for t in enum_ss_sl(4, lam)]:
+            mu, q = reduce_sl(t)
+            assert expand_sl(t.shape, mu, q) == t
     assert {type(state) for state in states} == {SpSkewTableau, SlSkewTableau}
+    return states
+
+
+def test_slid_states_pass_the_public_constructor(monkeypatch):
+    # steps, sheds and star insertions build their states unchecked; each
+    # must be one the constructor accepts, with the star where it finds it
+    states = slid_states(monkeypatch)
+    for state in states:
+        rebuilt = type(state)(state.n, state.columns)
+        assert rebuilt == state
+        assert rebuilt.star == state.star
+    assert sum(state.star is None for state in states) > 0
+    assert len(states) > 1000
+
+
+def taller(col):
+    """The column under one more vacated cell: one cell taller."""
+    return col.reframed(col.inner + 1, None if col.star_row is None else col.star_row + 1)
+
+
+def test_a_move_that_changes_the_frame_is_a_trap(monkeypatch, tmp_path, capsys):
+    move = taquin_sl._move
+
+    def stretched(state, i, j):
+        new = move(state, i, j)
+        return new and (taller(new[0]),) + new[1:]
+
+    # phi's first pass on the worked example is at row 3
+    monkeypatch.setattr(taquin_sl, "_move", stretched)
+    with pytest.raises(TaquinInvariantError, match=re.escape("the move of the star at (3, 1) changed the frame")):
+        phi(T_EX4)
+    assert not taquin_sl._MOVES
+
+    path = tmp_path / "t.json"
+    path.write_text(dumps(tableau_to_json(T_EX4)))
+    assert main(["phi", "--n", "4", "--file", str(path)]) == 3
+    assert capsys.readouterr().err.startswith("invariant violation: the move of the star")
+
+
+def test_step_table_equals_the_bare_rule(monkeypatch):
+    states = [state for state in slid_states(monkeypatch) if state.star is not None]
     clear_memos()
     for state in states:
         got, expected = taquin_sl._step(state), bare_step(state)
@@ -660,3 +640,5 @@ def test_column_without_a_double_raises_on_every_grid_call():
     for _ in range(2):
         with pytest.raises(InadmissibleColumnError):
             col.grid()
+        with pytest.raises(InadmissibleColumnError):
+            col.placed
