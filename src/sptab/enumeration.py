@@ -19,6 +19,7 @@ from .tableaux import (
     check_shape,
     is_quasistandard_sl,
     is_quasistandard_sp,
+    is_semistandard_sp,
     shape_to_multiplicities,
     weight_subshapes,
 )
@@ -58,21 +59,13 @@ def _columns_by_height_sl(n: int, k: int) -> tuple[tuple[int, ...], ...]:
 
 def _enum(n: int, heights: tuple[int, ...], kind: str, candidates, compatible) -> list[Tableau]:
     """Tableaux built column by column from the candidates of each height,
-    each column compatible with its left neighbour."""
-    out: list[Tableau] = []
-
-    def rec(j: int, cols: list) -> None:
-        if j == len(heights):
-            out.append(Tableau(n, kind, tuple(cols)))
-            return
-        for col in candidates(n, heights[j]):
-            if not cols or compatible(cols[-1], col):
-                cols.append(col)
-                rec(j + 1, cols)
-                cols.pop()
-
-    rec(0, [])
-    return out
+    each column compatible with its left neighbour: every prefix is extended
+    in turn by each candidate, which keeps the order of a depth-first walk."""
+    prefixes: list[tuple] = [()]
+    for h in heights:
+        cands = candidates(n, h)
+        prefixes = [p + (c,) for p in prefixes for c in cands if not p or compatible(p[-1], c)]
+    return [Tableau(n, kind, p) for p in prefixes]
 
 
 def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
@@ -145,6 +138,11 @@ def _shape_key(heights: tuple[int, ...]) -> str:
     return ",".join(str(h) for h in heights)
 
 
+@lru_cache(maxsize=None)
+def _qs_count(n: int, mu: tuple[int, ...]) -> int:
+    return len(enum_qs_sp(n, mu))
+
+
 def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     """Check the counting and bijection claims for one shape.
 
@@ -152,39 +150,43 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     maps semi-standard tableaux injectively into the union of quasi-standard
     sets over shapes below in the weight order; (3) onto; (4) the inverse
     recomposes every tableau.  Failures are report entries, not exceptions.
+
+    |QS(mu)| is counted once per process for mu below lambda and filtered
+    from SS(lambda) for lambda; the union is not built.  An image (mu, q) is
+    in it when mu is below lambda and q is a semi-standard, quasi-standard
+    tableau of shape mu, verdicts each tableau works out once for phi, psi
+    and the count; those not reached are the counts' sum less the distinct
+    images in the union.
     """
     from .taquin_sp import phi, psi  # enum and dims never load the slide engine
 
     heights = tuple(heights)
     ss = enum_ss_sp(n, heights)
     weyl = weyl_dim_sp(n, shape_to_multiplicities(heights, n))
-    qs_by_subshape: dict[str, int] = {}
-    union: dict[tuple[tuple[int, ...], tuple], tuple[int, ...]] = {}
-    for mu in weight_subshapes(heights, n):
-        qs = [t for t in ss if is_quasistandard_sp(t)] if mu == heights else enum_qs_sp(n, mu)
-        qs_by_subshape[_shape_key(mu)] = len(qs)
-        for t in qs:
-            union[(mu, t.columns)] = mu
+    below = list(weight_subshapes(heights, n))
+    qs_by_subshape = {
+        _shape_key(mu): sum(map(is_quasistandard_sp, ss)) if mu == heights else _qs_count(n, mu) for mu in below
+    }
 
     round_trip_failures = []
-    images: dict[tuple[tuple[int, ...], tuple], Tableau] = {}
+    images: dict[tuple[tuple[int, ...], tuple], bool] = {}
     problems = []
     for t in ss:
         mu, q = phi(t)
         key = (mu, q.columns)
         if key in images:
             problems.append(f"phi not injective: {key} hit twice")
-        images[key] = t
-        if key not in union:
+        images[key] = mu in below and q.shape == mu and is_semistandard_sp(q) and is_quasistandard_sp(q)
+        if not images[key]:
             problems.append(f"phi image outside the union: shape {mu}")
         back = psi(heights, mu, q)
         if back != t:
             round_trip_failures.append(
                 {"input": [list(c.codes()) for c in t.columns], "shape": list(mu)}
             )
-    missing = [k for k in union if k not in images]
+    missing = sum(qs_by_subshape.values()) - sum(images.values())
     if missing:
-        problems.append(f"{len(missing)} quasi-standard tableaux not reached")
+        problems.append(f"{missing} quasi-standard tableaux not reached")
     counts_ok = len(ss) == weyl == sum(qs_by_subshape.values())
     status = "pass" if counts_ok and not problems and not round_trip_failures else "fail"
     return {

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
-from .columns import SymplecticColumn, dble, is_admissible
+from .columns import SymplecticColumn, _double as _column_double, dble
 from .errors import ParseError, ShapeError, TableauError
 from .letters import (
     Letter,
@@ -148,6 +149,9 @@ def skew_cells(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int
 # ---------------------------------------------------------------------------
 # tableaux
 
+# the semi-standard verdict of each pair of neighbouring symplectic columns
+_PAIRS: dict = {}
+
 
 @dataclass(frozen=True)
 class Tableau:
@@ -155,7 +159,9 @@ class Tableau:
 
     Construction validates the shape and letter ranges only; semistandardness
     and admissibility are predicates, so that failing fillings can be
-    represented and rejected by them.
+    represented and rejected by them.  A tableau keeps its heights, and a
+    symplectic one its double, semi-standard verdict and non-quasi-standard
+    rows, each worked out at its first read.
     """
 
     n: int
@@ -210,7 +216,7 @@ class Tableau:
             cols.append(SymplecticColumn(n, frozenset(A), frozenset(D)))
         return Tableau(n, "sp", tuple(cols))
 
-    @property
+    @cached_property
     def heights(self) -> tuple[int, ...]:
         if self.kind == "sl":
             return tuple(len(c) for c in self.columns)
@@ -237,16 +243,50 @@ class Tableau:
     def __str__(self) -> str:
         return render(self)
 
+    @cached_property
+    def _double(self) -> Grid | None:
+        return _admissible_double(self)
+
+    @cached_property
+    def _semistandard(self) -> bool:
+        """Whether the double exists and is semi-standard.  A violation lies
+        within one pair of neighbouring columns, so each pair's verdict is
+        one grid pass over its four halves, memoised in `_PAIRS`."""
+        grid, cols = self._double, self.columns
+        if grid is None or len(cols) < 2:
+            return grid is not None and first_grid_violation(grid) is None
+        for j, pair in enumerate(zip(cols, cols[1:])):
+            ok = _PAIRS.get(pair)
+            if ok is None:
+                ok = _PAIRS.setdefault(pair, first_grid_violation(grid[2 * j : 2 * j + 4]) is None)
+            if not ok:
+                return False
+        return True
+
+    @cached_property
+    def _nqs_rows(self) -> tuple[int, ...]:
+        return nqs_rows(dble_tableau(self))
+
+
+def _admissible_double(t: Tableau) -> Grid | None:
+    """The double of a symplectic tableau; None when a column is inadmissible."""
+    out: list[tuple[int, ...]] = []
+    for col in t.columns:
+        d = _column_double(col.n, col.A, col.D)
+        if d is None:
+            return None
+        out += (d.left, d.right)
+    return tuple(out)
+
 
 def dble_tableau(t: Tableau) -> Grid:
     """Juxtapose the doubles of the columns; fails on an inadmissible column."""
     if t.kind != "sp":
         raise TableauError("only symplectic tableaux have a double")
-    out: list[tuple[int, ...]] = []
-    for col in t.columns:
-        d = dble(col)
-        out += (d.left, d.right)
-    return tuple(out)
+    if t._double is None:
+        for col in t.columns:
+            dble(col)  # raises on the first inadmissible column
+    return t._double
 
 
 # ---------------------------------------------------------------------------
@@ -331,20 +371,14 @@ def is_quasistandard_sl(t: Tableau) -> bool:
     return is_quasistandard_grid(t.grid())
 
 
-def _admissible_double(t: Tableau) -> Grid | None:
-    """The double of a symplectic tableau; None when a column is inadmissible."""
+def is_semistandard_sp(t: Tableau) -> bool:
     if t.kind != "sp":
         raise TableauError("expects a symplectic tableau")
-    return dble_tableau(t) if all(is_admissible(c) for c in t.columns) else None
-
-
-def is_semistandard_sp(t: Tableau) -> bool:
-    grid = _admissible_double(t)
-    return grid is not None and is_semistandard_grid(grid)
+    return t._semistandard
 
 
 def is_quasistandard_sp(t: Tableau) -> bool:
-    return is_quasistandard_grid(dble_tableau(t))
+    return not t._nqs_rows
 
 
 def nqs_with_height(t: Tableau, s: int) -> bool:

@@ -40,12 +40,16 @@ because every other column and pair is as in the state before.  A check is
 the verdicts, memoised in `_PAIRS`, of one grid pass
 (`first_grid_violation`) over the placed halves of each pair of neighbours
 in its range.
+
+The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
+the trivial columns it prepends and the star cells in the turned frame.  Its
+start state is built turned over, under one frame check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
@@ -329,9 +333,18 @@ def _slide_pass(cls, t: Tableau, s: int, grid, to_rest) -> Tableau:
     return _straight(state, 1)
 
 
-def _star_fill_order(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Cells of lambda minus mu, bottom row first, right to left within a row."""
-    return sorted(skew_cells(lam, mu), key=lambda ij: (-ij[0], -ij[1]))
+@lru_cache(maxsize=None)
+def _plan(lam: tuple[int, ...], mu: tuple[int, ...], hmax: int) -> tuple[int, tuple]:
+    """Check that mu lies in lambda and below it in the weight order; then
+    d, the trivial columns to prepend, and the stars (k, row, col) in sliding
+    order: lambda minus mu in reading order, numbered down, turned over."""
+    if not shape_contains(mu, lam):
+        raise ShapeError(f"{mu} is not contained in {lam}")
+    if not weight_leq(mu, lam, hmax):
+        raise ShapeError(f"{mu} is not below {lam} in the weight order")
+    d, cells = len(lam) - len(mu), skew_cells(lam, mu)
+    W = len(mu) + 2 * d
+    return d, tuple((len(cells) - k, hmax + 1 - i, W + 1 - (j + d)) for k, (i, j) in enumerate(cells))
 
 
 def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = None) -> Tableau:
@@ -346,32 +359,25 @@ def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = N
     lam, mu, hmax = tuple(lam), tuple(mu), q.hmax
     if q.shape != mu:
         raise ShapeError(f"tableau shape {q.shape} is not {mu}")
-    if not shape_contains(mu, lam):
-        raise ShapeError(f"{mu} is not contained in {lam}")
-    if not weight_leq(mu, lam, hmax):
-        raise ShapeError(f"{mu} is not below {lam} in the weight order")
+    d, stars = _plan(lam, mu, hmax)
     if not standard(q):
         raise TableauError("the tableau to expand is not semi-standard and quasi-standard")
     if lam == mu:
         return q
     n, model = q.n, cls.column
-    d = len(lam) - len(mu)
-    # d full trivial columns, q, then d empty ones (trivial from past hmax);
-    # turned over, the cells of lambda minus mu are vacated cells on top
+    # d full trivial columns, q, then d empty ones (trivial from past hmax),
+    # built turned over in their rectangle of height hmax: the cells of
+    # lambda minus mu are vacated cells on top
     start = (
         (model.trivial(n, 1),) * d
         + tuple(model.of(n, c) for c in q.columns)
         + (model.trivial(n, hmax + 1),) * d
     )
-    state = cls(n, start).rotated()
+    state = cls(n, tuple(c.turned(hmax, n) for c in reversed(start)))
     if record is not None:
         record.append(state)
-    W = len(start)
-    fill = _star_fill_order(lam, mu)
     exits: list[tuple[int, int]] = []
-    for k in range(len(fill), 0, -1):
-        i, j = fill[k - 1]
-        row, col = hmax + 1 - i, W + 1 - (j + d)
+    for k, row, col in stars:
         c, right = state.columns[col - 1], state.columns[col : col + 1]
         if c.inner != row or (right and right[0].inner >= row):
             raise TaquinInvariantError(f"star {k} at ({row},{col}) is not at an inner corner")

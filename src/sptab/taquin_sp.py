@@ -29,15 +29,7 @@ from .columns import (
 )
 from .errors import TableauError
 from .letters import from_code, letter_to_json
-from .tableaux import (
-    Grid,
-    Tableau,
-    _admissible_double,
-    dble_tableau,
-    is_quasistandard_grid,
-    is_semistandard_grid,
-    nqs_rows,
-)
+from .tableaux import Tableau, dble_tableau, is_quasistandard_sp, is_semistandard_sp
 from .taquin_sl import (
     _expand,
     _interned,
@@ -176,26 +168,21 @@ def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
 # reduction and its inverse
 
 
-def slide_pass_sp(t: Tableau, s: int, record: list | None = None, *, grid: Grid | None = None) -> Tableau:
+def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
     """One reduction pass at row s: prepend a trivial column with s-1
     vacated cells and the star at s, slide to rest, strip it; the three
-    invariants from theory are enforced as hard traps.  `grid` is the
-    double of t when the caller has computed it already."""
-    grid = dble_tableau(t) if grid is None else grid
-    return _slide_pass(SpSkewTableau, t, s, grid, lambda state: sjdt_to_rest(state, record, verify=True))
+    invariants from theory are enforced as hard traps."""
+    return _slide_pass(SpSkewTableau, t, s, dble_tableau(t), lambda state: sjdt_to_rest(state, record, verify=True))
 
 
 def phi_passes(t: Tableau, record: list | None = None):
     """Yield (s, tableau-after-pass) for each reduction pass of phi; each
-    tableau is doubled once, for its pushable rows and for the pass."""
+    tableau keeps its double and pushable rows, so the last one, q, is
+    judged quasi-standard here and not again by psi."""
     cur = t
-    while True:
-        grid = dble_tableau(cur)
-        rows = nqs_rows(grid)
-        if not rows:
-            return
-        s = max(rows)
-        cur = slide_pass_sp(cur, s, record, grid=grid)
+    while cur._nqs_rows:
+        s = max(cur._nqs_rows)
+        cur = slide_pass_sp(cur, s, record)
         yield s, cur
 
 
@@ -226,7 +213,7 @@ def psi(
         lam,
         mu,
         q,
-        lambda t: (g := _admissible_double(t)) is not None and is_semistandard_grid(g) and is_quasistandard_grid(g),
+        lambda t: is_semistandard_sp(t) and is_quasistandard_sp(t),
         lambda state: sjdt_to_rest(state, record, verify=True),
         record,
     )

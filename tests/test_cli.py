@@ -148,6 +148,17 @@ def test_trace_output_golden_bytes():
         assert (hashlib.sha256(out).hexdigest(), len(out)) == (digest, size), argv
 
 
+def test_verify_bijection_output_golden_bytes():
+    # SHA-256 and length of the full report of the rank-4 sweep up to 5 boxes
+    r = run_cli(["verify", "bijection", "--n", "4", "--max-boxes", "5"])
+    assert r.returncode == 0, r.stderr
+    out = r.stdout.encode()
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == (
+        "ed59957165658c5b38e84862704f3edfbb56a03392e61fad293ecf778dd5856f",
+        2797,
+    )
+
+
 def assert_input_error(r):
     """Exit 1, nothing on stdout, a single error line and no traceback."""
     assert r.returncode == 1

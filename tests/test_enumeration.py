@@ -1,10 +1,12 @@
+import gc
+import weakref
 from fractions import Fraction
 from itertools import product
 from math import comb
 
 import pytest
 
-from sptab import enumeration
+from sptab import enumeration, taquin_sp
 from sptab.enumeration import (
     enum_admissible_columns,
     enum_qs_sl,
@@ -153,9 +155,11 @@ def test_enum_deterministic_order():
 
 
 def test_verify_bijection_enumerates_its_own_shape_once(monkeypatch):
-    # QS(lambda) is filtered from SS(lambda); only the shapes below are enumerated again
+    # QS(lambda) is filtered from SS(lambda); the shapes below are enumerated
+    # once per process, so a second run enumerates nothing again
     lam, calls = (2, 1, 1), []
     real = enumeration.enum_qs_sp
+    enumeration._qs_count.cache_clear()
     monkeypatch.setattr(enumeration, "enum_qs_sp", lambda n, mu: calls.append(mu) or real(n, mu))
     r = verify_bijection(3, lam)
     assert r["status"] == "pass"
@@ -163,6 +167,50 @@ def test_verify_bijection_enumerates_its_own_shape_once(monkeypatch):
     assert list(r["counts"]["qs_by_subshape"].items()) == [
         (",".join(map(str, mu)), len(real(3, mu))) for mu in weight_subshapes(lam, 3)
     ]
+    calls.clear()
+    assert verify_bijection(3, lam) == r
+    assert calls == []
+
+
+def test_verify_bijection_reports_a_duplicate_and_an_outside_image(monkeypatch):
+    # phi sends ss[1] to ss[3]'s image, ss[2] to a shape not below lambda and
+    # ss[4] to a q that is not quasi-standard; psi undoes whatever phi was given
+    n, lam = 2, (2, 1)
+    ss = enum_ss_sp(n, lam)
+    real, fed = taquin_sp.phi, []
+    wrong = {
+        ss[1]: real(ss[3]),
+        ss[2]: ((2, 2), Tableau.sp(n, [(1, 2), (3, 4)])),
+        ss[4]: ((2,), Tableau.sp(n, [(1, 2)])),
+    }
+    monkeypatch.setattr(taquin_sp, "phi", lambda t: fed.append(t) or wrong.get(t) or real(t))
+    monkeypatch.setattr(taquin_sp, "psi", lambda lam, mu, q: fed[-1])
+    r = verify_bijection(n, lam)
+    assert r["status"] == "fail" and r["round_trip_failures"] == []
+    assert r["problems"] == [
+        "phi image outside the union: shape (2, 2)",
+        "phi not injective: ((1,), (SymplecticColumn(n=2, A=frozenset(), D=frozenset({1})),)) hit twice",
+        "phi image outside the union: shape (2,)",
+        "3 quasi-standard tableaux not reached",
+    ]
+
+
+def test_verify_bijection_rank5_up_to_5_boxes():
+    reports = [verify_bijection(5, lam) for lam in shapes_up_to(5, 5)]
+    assert len(reports) == 19 and sum(r["counts"]["ss"] for r in reports) == 24903
+    assert all(r["status"] == "pass" for r in reports)
+
+
+def test_enumeration_leaves_no_reference_cycle():
+    # the tableaux go when their list goes, without the cyclic collector
+    gc.disable()
+    try:
+        ts = enum_ss_sp(3, (2, 1))
+        ref = weakref.ref(ts[0])
+        del ts
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_verify_bijection_rank4_small():

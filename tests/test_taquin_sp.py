@@ -247,20 +247,21 @@ def test_psi_rejects_q_not_quasistandard():
 
 
 def test_psi_doubles_q_once_and_rejects_an_inadmissible_column(monkeypatch):
-    mu, q = phi(T_EX4)
+    # a tableau keeps its double: phi works out q's, psi reads it
     calls = []
-    double = tableaux.dble_tableau
-    monkeypatch.setattr(tableaux, "dble_tableau", lambda t: calls.append(t) or double(t))
+    double = tableaux._admissible_double
+    monkeypatch.setattr(tableaux, "_admissible_double", lambda t: calls.append(t) or double(t))
+    mu, q = phi(T_EX4)
     assert psi(T_EX4.shape, mu, q) == T_EX4
     assert psi(mu, mu, q) == q
-    assert calls == [q, q]
+    assert calls.count(q) == 1
     # [2, 2'] is not admissible: the same error as a q that is not standard,
-    # raised before anything is doubled, whether or not lambda = mu
+    # whether or not lambda = mu, and its missing double is looked for once
     bad = Tableau.sp(2, [(2, 3)])
     for lam in ((2,), (2, 2)):
         with pytest.raises(TableauError, match="not semi-standard and quasi-standard"):
             psi(lam, (2,), bad)
-    assert calls == [q, q]
+    assert calls.count(bad) == 1 and bad._double is None
 
 
 def test_slide_pass_requires_nqs():
