@@ -161,11 +161,11 @@ def _double(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn | Non
     return DoubledColumn(n, A, D, I, J, B, C, _codes(n, A, C), _codes(n, B, D))
 
 
-def double_of(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn:
-    """The memoised double of (A, D); raises if the column is inadmissible."""
-    d = _double(n, A, D)
+def dble(col: SymplecticColumn) -> DoubledColumn:
+    """The memoised double of the column; raises if it is inadmissible."""
+    d = _double(col.n, col.A, col.D)
     if d is None:
-        raise InadmissibleColumnError(f"column {SymplecticColumn(n, A, D)} is not admissible for rank {n}")
+        raise InadmissibleColumnError(f"column {col} is not admissible for rank {col.n}")
     return d
 
 
@@ -173,17 +173,13 @@ def dble_sets(
     col: SymplecticColumn,
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
     """(I, J, B, C) of an admissible column; raises if inadmissible."""
-    d = double_of(col.n, col.A, col.D)
+    d = dble(col)
     return d.I, d.J, d.B, d.C
 
 
 def is_admissible(col: SymplecticColumn) -> bool:
     """Staircase condition: the witness set J exists."""
     return _double(col.n, col.A, col.D) is not None
-
-
-def dble(col: SymplecticColumn) -> DoubledColumn:
-    return double_of(col.n, col.A, col.D)
 
 
 def g_from(B, C, n: int) -> SymplecticColumn:

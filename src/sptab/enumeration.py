@@ -1,10 +1,12 @@
 """Exhaustive generators, the Weyl dimension oracle for type C, and the
 bijection verifier.
 
-Generation is column by column: each appended column must be admissible for
-its height and row-compatible with its left neighbour through the doubles,
-which prunes early and keeps the exhaustive suites fast.  Output orders are
-deterministic (columns sorted by their visible letter codes).
+Generation is column by column: each appended column is sound for its
+height (admissible, or strictly increasing letters) and compatible with its
+left neighbour by the neighbour rule of tableaux (`_compatible`), the rule
+every semi-standard verdict reads; this prunes early and keeps the
+exhaustive suites fast.  Output orders are deterministic (columns sorted by
+their visible letter codes).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .columns import SymplecticColumn, dble, is_admissible
+from .columns import SymplecticColumn, is_admissible
 from .errors import ShapeError
 from .tableaux import (
     Tableau,
+    _compatible,
     check_shape,
     is_quasistandard_sl,
     is_quasistandard_sp,
@@ -57,14 +60,15 @@ def _columns_by_height_sl(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations(range(1, n + 1), k))
 
 
-def _enum(n: int, heights: tuple[int, ...], kind: str, candidates, compatible) -> list[Tableau]:
-    """Tableaux built column by column from the candidates of each height,
-    each column compatible with its left neighbour: every prefix is extended
-    in turn by each candidate, which keeps the order of a depth-first walk."""
+def _enum(n: int, heights: tuple[int, ...], kind: str, candidates) -> list[Tableau]:
+    """Tableaux built column by column from the (sound) candidates of each
+    height, each column compatible with its left neighbour: every prefix is
+    extended in turn by each candidate, which keeps the order of a
+    depth-first walk."""
     prefixes: list[tuple] = [()]
     for h in heights:
         cands = candidates(n, h)
-        prefixes = [p + (c,) for p in prefixes for c in cands if not p or compatible(p[-1], c)]
+        prefixes = [p + (c,) for p in prefixes for c in cands if not p or _compatible(p[-1], c)]
     return [Tableau(n, kind, p) for p in prefixes]
 
 
@@ -72,12 +76,7 @@ def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
     """All semi-standard symplectic tableaux of the given shape."""
     heights = tuple(heights)
     check_shape(heights, n)
-
-    def compatible(a: SymplecticColumn, b: SymplecticColumn) -> bool:
-        # row by row, the right column of a's double is at most the left column of b's
-        return all(x <= y for x, y in zip(dble(a).right, dble(b).left))
-
-    return _enum(n, heights, "sp", enum_admissible_columns, compatible)
+    return _enum(n, heights, "sp", enum_admissible_columns)
 
 
 def enum_qs_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
@@ -88,7 +87,7 @@ def enum_ss_sl(n: int, heights: tuple[int, ...]) -> list[Tableau]:
     """All semi-standard plain-letter tableaux of the given shape."""
     heights = tuple(heights)
     check_shape(heights, n - 1)
-    return _enum(n, heights, "sl", _columns_by_height_sl, lambda a, b: all(x <= y for x, y in zip(a, b)))
+    return _enum(n, heights, "sl", _columns_by_height_sl)
 
 
 def enum_qs_sl(n: int, heights: tuple[int, ...]) -> list[Tableau]:

@@ -10,6 +10,10 @@ on shapes matter here, and they differ:
   over.
 
 Grids are tuples of columns, each column a top-down tuple of letter codes.
+
+Each rule about a straight tableau is here once, for every layer to read:
+the neighbour rule `_compatible`, the semi-standard verdict built on it, and
+the non-quasi-standard rows `nqs_rows`.
 """
 
 from __future__ import annotations
@@ -38,10 +42,8 @@ __all__ = [
     "dble_tableau",
     "dumps",
     "first_grid_violation",
-    "is_quasistandard_grid",
     "is_quasistandard_sl",
     "is_quasistandard_sp",
-    "is_semistandard_grid",
     "is_semistandard_sl",
     "is_semistandard_sp",
     "multiplicities_to_shape",
@@ -51,7 +53,6 @@ __all__ = [
     "parse",
     "render",
     "render_grid",
-    "row_inequality_holds",
     "shape_contains",
     "shape_to_multiplicities",
     "skew_cells",
@@ -149,19 +150,15 @@ def skew_cells(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int
 # ---------------------------------------------------------------------------
 # tableaux
 
-# the semi-standard verdict of each pair of neighbouring symplectic columns
-_PAIRS: dict = {}
-
-
 @dataclass(frozen=True)
 class Tableau:
     """A straight-shape tableau: plain letter columns (sl) or symplectic columns (sp).
 
     Construction validates the shape and letter ranges only; semistandardness
     and admissibility are predicates, so that failing fillings can be
-    represented and rejected by them.  A tableau keeps its heights, and a
-    symplectic one its double, semi-standard verdict and non-quasi-standard
-    rows, each worked out at its first read.
+    represented and rejected by them.  A tableau keeps its heights, its
+    semi-standard verdict and its non-quasi-standard rows, and a symplectic
+    one its double, each worked out at its first read.
     """
 
     n: int
@@ -173,7 +170,8 @@ class Tableau:
             raise TableauError(f"rank must be positive, got {self.n}")
         if self.kind not in ("sl", "sp"):
             raise TableauError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "columns", tuple(self.columns))
+        # plain columns are tuples, so a verdict can be memoised per pair
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns) if self.kind == "sl" else self.columns))
         try:
             check_shape(self.heights, self.hmax)
         except ShapeError as exc:
@@ -191,7 +189,7 @@ class Tableau:
 
     @staticmethod
     def sl(n: int, columns) -> "Tableau":
-        return Tableau(n, "sl", tuple(tuple(c) for c in columns))
+        return Tableau(n, "sl", columns)
 
     @staticmethod
     def sp(n: int, columns) -> "Tableau":
@@ -249,23 +247,38 @@ class Tableau:
 
     @cached_property
     def _semistandard(self) -> bool:
-        """Whether the double exists and is semi-standard.  A violation lies
-        within one pair of neighbouring columns, so each pair's verdict is
-        one grid pass over its four halves, memoised in `_PAIRS`."""
-        grid, cols = self._double, self.columns
-        if grid is None or len(cols) < 2:
-            return grid is not None and first_grid_violation(grid) is None
-        for j, pair in enumerate(zip(cols, cols[1:])):
-            ok = _PAIRS.get(pair)
-            if ok is None:
-                ok = _PAIRS.setdefault(pair, first_grid_violation(grid[2 * j : 2 * j + 4]) is None)
-            if not ok:
-                return False
-        return True
+        """Every column is sound and every pair of neighbours compatible.  A
+        plain column is sound when its letters strictly increase; a
+        symplectic one when it is admissible, since the double of an
+        admissible column is semi-standard on its own."""
+        cols = self.columns
+        if self.kind == "sp":
+            sound = self._double is not None
+        else:
+            sound = all(a < b for c in cols for a, b in zip(c, c[1:]))
+        return sound and all(map(_compatible, cols, cols[1:]))
 
     @cached_property
     def _nqs_rows(self) -> tuple[int, ...]:
-        return nqs_rows(dble_tableau(self))
+        """The non-quasi-standard rows of the double, or of the letters."""
+        return nqs_rows(dble_tableau(self) if self.kind == "sp" else self.columns)
+
+
+# the verdict of each pair of neighbouring sound columns
+_PAIRS: dict = {}
+
+
+def _compatible(a, b) -> bool:
+    """Whether the right half of column a's grid is at most the left half of
+    column b's, row by row: a's letters or the right column of its double,
+    against b's letters or the left column of its double.  Both columns are
+    sound (see `Tableau._semistandard`)."""
+    ok = _PAIRS.get((a, b))
+    if ok is None:
+        right = _column_double(a.n, a.A, a.D).right if isinstance(a, SymplecticColumn) else a
+        left = _column_double(b.n, b.A, b.D).left if isinstance(b, SymplecticColumn) else b
+        ok = _PAIRS[a, b] = all(x <= y for x, y in zip(right, left))
+    return ok
 
 
 def _admissible_double(t: Tableau) -> Grid | None:
@@ -314,46 +327,31 @@ def first_grid_violation(grid: Sequence[Sequence[int | None]]) -> tuple[str, int
     return None
 
 
-def is_semistandard_grid(grid: Grid) -> bool:
-    """Rows weakly increase left to right, columns strictly increase top-down."""
-    return first_grid_violation(grid) is None
-
-
 def nqs_grid(grid: Grid, s: int) -> bool:
-    """Non-quasi-standardness of a grid at row s.
-
-    Requires the top s cells of column 1 to be the s smallest letters, some
-    column of height exactly s, and the strict cross inequalities
-    t[s][j+1] < t[s+1][j] wherever both entries exist.
-    """
-    if s < 1 or not grid:
-        return False
-    col1 = grid[0]
-    if len(col1) < s or any(col1[i] != i + 1 for i in range(s)):
-        return False
-    if all(len(c) != s for c in grid):
-        return False
-    return row_inequality_holds(grid, s)
-
-
-def row_inequality_holds(grid: Grid, s: int) -> bool:
-    """The cross inequalities t[s][j+1] < t[s+1][j] alone (rows 1-based)."""
-    for j in range(len(grid) - 1):
-        below = grid[j]
-        right = grid[j + 1]
-        if len(right) >= s and len(below) >= s + 1 and right[s - 1] >= below[s]:
-            return False
-    return True
+    """Non-quasi-standardness of a grid at row s (see `nqs_rows`)."""
+    return s in nqs_rows(grid)
 
 
 def nqs_rows(grid: Grid) -> tuple[int, ...]:
+    """The rows s, ascending, at which the grid is not quasi-standard, in one
+    pass: the top s cells of column 1 are the s smallest letters, some
+    column has height exactly s, and the cross inequalities hold at s."""
     if not grid:
         return ()
-    return tuple(s for s in range(1, len(grid[0]) + 1) if nqs_grid(grid, s))
+    col1, top = grid[0], 0
+    while top < len(col1) and col1[top] == top + 1:
+        top += 1
+    return tuple(sorted(_cross_inequality_rows(grid, {h for h in map(len, grid) if 0 < h <= top})))
 
 
-def is_quasistandard_grid(grid: Grid) -> bool:
-    return not nqs_rows(grid)
+def _cross_inequality_rows(grid: Grid, rows: set[int]) -> set[int]:
+    """Those rows s of `rows` at which t[s][j+1] < t[s+1][j] (rows 1-based)
+    wherever both entries exist."""
+    for left, right in zip(grid, grid[1:]):
+        if not rows:
+            break
+        rows = {s for s in rows if s >= len(left) or s > len(right) or right[s - 1] < left[s]}
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -363,12 +361,12 @@ def is_quasistandard_grid(grid: Grid) -> bool:
 def is_semistandard_sl(t: Tableau) -> bool:
     if t.kind != "sl":
         raise TableauError("expects a plain-letter tableau")
-    return is_semistandard_grid(t.grid())
+    return t._semistandard
 
 
 def is_quasistandard_sl(t: Tableau) -> bool:
     """No row witnesses non-quasi-standardness of the visible letters."""
-    return is_quasistandard_grid(t.grid())
+    return not nqs_rows(t.grid())
 
 
 def is_semistandard_sp(t: Tableau) -> bool:
@@ -384,9 +382,7 @@ def is_quasistandard_sp(t: Tableau) -> bool:
 def nqs_with_height(t: Tableau, s: int) -> bool:
     """Pushable at s in the weak sense: a height-s column plus the cross
     inequalities on the double, without the trivial-top requirement."""
-    if all(h != s for h in t.heights):
-        return False
-    return row_inequality_holds(dble_tableau(t), s)
+    return s in t.heights and bool(_cross_inequality_rows(dble_tableau(t), {s}))
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,11 @@ in its range.
 The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
 the trivial columns it prepends and the star cells in the turned frame.  Its
 start state is built turned over, under one frame check.
+
+One pass loop (`_passes`) serves reduce_sl and phi, and one alphabet check
+guards the loop, a pass and the inverse.  The rows a pass may push and the
+inverse's precondition are read from the tableau (`_nqs_rows`,
+`_semistandard`), the rules tableaux owns.
 """
 
 from __future__ import annotations
@@ -53,17 +58,7 @@ from functools import cached_property, lru_cache
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
-from .tableaux import (
-    Tableau,
-    first_grid_violation,
-    is_quasistandard_sl,
-    is_semistandard_sl,
-    nqs_grid,
-    nqs_rows,
-    shape_contains,
-    skew_cells,
-    weight_leq,
-)
+from .tableaux import Tableau, first_grid_violation, shape_contains, skew_cells, weight_leq
 
 __all__ = [
     "SlSkewColumn",
@@ -313,12 +308,36 @@ def _straight(state: _SkewTableau, lead: int) -> Tableau:
     return Tableau(state.n, type(state).kind, tuple(c.content for c in cols if c.size))
 
 
-def _slide_pass(cls, t: Tableau, s: int, grid, to_rest) -> Tableau:
-    """One reduction pass at row s of the tableau whose (double) grid is
-    given: prepend a trivial column with s-1 vacated cells and the star at
-    s, slide to rest, strip it.  The invariants from theory are hard traps:
-    the star stays in row s, no 0 appears, the first column ends trivial."""
-    if not nqs_grid(grid, s):
+def _check_alphabet(cls, t: Tableau) -> None:
+    if t.kind != cls.kind:
+        raise TableauError(f"expects a {'symplectic' if cls.kind == 'sp' else 'plain-letter'} tableau")
+
+
+def _passes(cls, t: Tableau, slide_pass, *args):
+    """Yield (s, tableau after the pass) for each reduction pass, at the
+    largest non-quasi-standard row, until the tableau is quasi-standard;
+    `slide_pass(tableau, s, *args)` is the model's pass."""
+    _check_alphabet(cls, t)
+    while t._nqs_rows:
+        s = max(t._nqs_rows)
+        t = slide_pass(t, s, *args)
+        yield s, t
+
+
+def _reduced(t: Tableau, passes) -> tuple[tuple[int, ...], Tableau]:
+    """(shape, tableau) after the last of the passes, t when there is none."""
+    for _, t in passes:
+        pass
+    return t.shape, t
+
+
+def _slide_pass(cls, t: Tableau, s: int, to_rest) -> Tableau:
+    """One reduction pass at row s: prepend a trivial column with s-1
+    vacated cells and the star at s, slide to rest, strip it.  The
+    invariants from theory are hard traps: the star stays in row s, no 0
+    appears, the first column ends trivial."""
+    _check_alphabet(cls, t)
+    if s not in t._nqs_rows:
         raise TableauError(f"tableau is quasi-standard at row {s}")
     n, model = t.n, cls.column
     state = cls(n, (model.trivial(n, s + 1, s - 1, s),) + tuple(model.of(n, c) for c in t.columns))
@@ -347,20 +366,21 @@ def _plan(lam: tuple[int, ...], mu: tuple[int, ...], hmax: int) -> tuple[int, tu
     return d, tuple((len(cells) - k, hmax + 1 - i, W + 1 - (j + d)) for k, (i, j) in enumerate(cells))
 
 
-def _expand(cls, lam, mu, q: Tableau, standard, to_rest, record: list | None = None) -> Tableau:
+def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Tableau:
     """Rebuild the tableau of shape lambda that reduces to (mu, q).
 
     Prepends trivial columns, fills lambda minus mu with numbered stars,
     reverses, slides the stars in decreasing index (each star's remaining
     predecessors acting as vacated cells), reverses back, completes the
-    trivial columns and strips them.  `standard` says whether q is
-    semi-standard and quasi-standard in its alphabet.
+    trivial columns and strips them.  q must be semi-standard and
+    quasi-standard in the model's alphabet.
     """
     lam, mu, hmax = tuple(lam), tuple(mu), q.hmax
     if q.shape != mu:
         raise ShapeError(f"tableau shape {q.shape} is not {mu}")
     d, stars = _plan(lam, mu, hmax)
-    if not standard(q):
+    _check_alphabet(cls, q)
+    if not q._semistandard or q._nqs_rows:
         raise TableauError("the tableau to expand is not semi-standard and quasi-standard")
     if lam == mu:
         return q
@@ -480,21 +500,14 @@ def sigma_sl(state: SlSkewTableau) -> SlSkewTableau:
 
 def slide_pass_sl(t: Tableau, s: int) -> Tableau:
     """One reduction pass at row s: prepend a vacated trivial column, slide, strip."""
-    return _slide_pass(SlSkewTableau, t, s, t.grid(), jdt_to_rest)
+    return _slide_pass(SlSkewTableau, t, s, jdt_to_rest)
 
 
 def reduce_sl(t: Tableau) -> tuple[tuple[int, ...], Tableau]:
     """Iterate passes at the largest non-quasi-standard row; returns (shape, result)."""
-    cur = t
-    while True:
-        rows = nqs_rows(cur.grid())
-        if not rows:
-            return cur.shape, cur
-        cur = slide_pass_sl(cur, max(rows))
+    return _reduced(t, _passes(SlSkewTableau, t, slide_pass_sl))
 
 
 def expand_sl(lam: tuple[int, ...], mu: tuple[int, ...], q: Tableau) -> Tableau:
     """Rebuild the semi-standard tableau of shape lambda reducing to (mu, q)."""
-    return _expand(
-        SlSkewTableau, lam, mu, q, lambda t: is_semistandard_sl(t) and is_quasistandard_sl(t), jdt_to_rest
-    )
+    return _expand(SlSkewTableau, lam, mu, q, jdt_to_rest)

@@ -1,6 +1,7 @@
 """Symplectic jeu de taquin: the column model that runs the skew-tableau
 engine of taquin_sl on column doubles, the reduction to a quasi-standard
-tableau and its inverse, and the trace JSON.
+tableau and its inverse (the engine's pass loop and inverse, given this
+model's slide), and the trace JSON.
 
 Slide decisions compare the doubled letters: with the star at (i, j), the
 right copy of the cell below (beta) against the left copy of the cell to
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .columns import (
     SymplecticColumn,
-    double_of,
+    dble,
     surgery_add_B,
     surgery_add_D,
     surgery_remove_A,
@@ -29,11 +30,13 @@ from .columns import (
 )
 from .errors import TableauError
 from .letters import from_code, letter_to_json
-from .tableaux import Tableau, dble_tableau, is_quasistandard_sp, is_semistandard_sp
+from .tableaux import Tableau
 from .taquin_sl import (
     _expand,
     _interned,
     _is_semistandard_skew,
+    _passes,
+    _reduced,
     _SkewColumn,
     _SkewTableau,
     _slide_pass,
@@ -86,7 +89,7 @@ class SpSkewColumn(_SkewColumn):
         return 0 in self.A or 0 in self.D
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        d = double_of(self.n, self.A, self.D)
+        d = dble(self.content)
         return d.left, d.right
 
     def reframed(self, inner: int, star_row: int | None) -> "SpSkewColumn":
@@ -172,26 +175,19 @@ def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
     """One reduction pass at row s: prepend a trivial column with s-1
     vacated cells and the star at s, slide to rest, strip it; the three
     invariants from theory are enforced as hard traps."""
-    return _slide_pass(SpSkewTableau, t, s, dble_tableau(t), lambda state: sjdt_to_rest(state, record, verify=True))
+    return _slide_pass(SpSkewTableau, t, s, lambda state: sjdt_to_rest(state, record, verify=True))
 
 
 def phi_passes(t: Tableau, record: list | None = None):
     """Yield (s, tableau-after-pass) for each reduction pass of phi; each
     tableau keeps its double and pushable rows, so the last one, q, is
     judged quasi-standard here and not again by psi."""
-    cur = t
-    while cur._nqs_rows:
-        s = max(cur._nqs_rows)
-        cur = slide_pass_sp(cur, s, record)
-        yield s, cur
+    yield from _passes(SpSkewTableau, t, slide_pass_sp, record)
 
 
 def phi(t: Tableau, record: list | None = None) -> tuple[tuple[int, ...], Tableau]:
     """Reduce to a quasi-standard tableau; returns (shape, tableau)."""
-    cur = t
-    for _, cur in phi_passes(t, record):
-        pass
-    return cur.shape, cur
+    return _reduced(t, phi_passes(t, record))
 
 
 def psi(
@@ -208,15 +204,7 @@ def psi(
     trivial columns and strips them.  q must be semi-standard and
     quasi-standard, else TableauError.
     """
-    return _expand(
-        SpSkewTableau,
-        lam,
-        mu,
-        q,
-        lambda t: is_semistandard_sp(t) and is_quasistandard_sp(t),
-        lambda state: sjdt_to_rest(state, record, verify=True),
-        record,
-    )
+    return _expand(SpSkewTableau, lam, mu, q, lambda state: sjdt_to_rest(state, record, verify=True), record)
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,17 @@
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
 from sptab.columns import SymplecticColumn
-from sptab.enumeration import shapes_up_to
-from sptab.errors import ParseError, ShapeError, TableauError
+from sptab.enumeration import enum_admissible_columns, enum_ss_sl, enum_ss_sp, shapes_up_to
+from sptab.errors import InadmissibleColumnError, ParseError, ShapeError, TableauError
 from sptab.tableaux import (
     Tableau,
     dble_tableau,
     first_grid_violation,
-    is_quasistandard_grid,
     is_quasistandard_sl,
     is_quasistandard_sp,
-    is_semistandard_grid,
+    is_semistandard_sl,
     is_semistandard_sp,
     multiplicities_to_shape,
     nqs_grid,
@@ -125,11 +124,11 @@ def test_dble_heights_duplicate_pairwise():
 
 
 def test_semistandard_grid():
-    assert is_semistandard_grid(((1, 2, 4), (1, 3, 5), (2, 4), (3, 5)))
-    assert not is_semistandard_grid(((2, 1),))
+    assert first_grid_violation(((1, 2, 4), (1, 3, 5), (2, 4), (3, 5))) is None
+    assert first_grid_violation(((2, 1),)) is not None
     assert first_grid_violation(((2, 1),)) == ("column", 2, 1)
     assert first_grid_violation(((1, 1),)) == ("column", 2, 1)
-    assert is_semistandard_grid(((1,), (1,), (1,)))
+    assert first_grid_violation(((1,), (1,), (1,))) is None
     assert first_grid_violation(((2,), (1,))) == ("row", 1, 2)
     assert first_grid_violation(((1,), (1, 2))) == ("shape", 1, 2)
 
@@ -145,7 +144,7 @@ def test_first_grid_violation_skips_empty_cells():
 def test_quasistandard_split_golden():
     # the running example is quasi-standard on its visible letters but its
     # double is not
-    assert is_quasistandard_grid(T_RANK3.grid())
+    assert not nqs_rows(T_RANK3.grid())
     assert not is_quasistandard_sp(T_RANK3)
     assert is_semistandard_sp(T_RANK3)
     assert 2 in nqs_rows(dble_tableau(T_RANK3))
@@ -174,12 +173,90 @@ def test_is_semistandard_sp_rejects_inadmissible_column():
 
 
 def test_single_admissible_column_is_semistandard():
-    from sptab.enumeration import enum_admissible_columns
-
     for n in (2, 3):
         for k in range(1, n + 1):
             for c in enum_admissible_columns(n, k):
                 assert is_semistandard_sp(Tableau(n, "sp", (c,)))
+
+
+def arbitrary_sp_columns(n, k):
+    """Every rank-n column (A, D) of height k, admissible or not."""
+    return [
+        SymplecticColumn(n, F(A), F(D))
+        for a in range(k + 1)
+        for A in combinations(range(1, n + 1), a)
+        for D in combinations(range(1, n + 1), k - a)
+    ]
+
+
+def tableaux_of(n, kind, hmax, max_boxes, columns):
+    """Every tableau whose column of height k is any of columns(n, k)."""
+    for shape in shapes_up_to(hmax, max_boxes):
+        for cols in product(*(columns(n, k) for k in shape)):
+            yield Tableau(n, kind, cols)
+
+
+def test_admissible_double_is_semistandard_on_its_own():
+    # the premise of the neighbour rule: an admissible column is sound
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            for c in enum_admissible_columns(n, k):
+                d = dble_tableau(Tableau(n, "sp", (c,)))
+                assert first_grid_violation(d) is None, c
+
+
+def whole_grid_sp(t):
+    try:
+        return first_grid_violation(dble_tableau(t)) is None
+    except InadmissibleColumnError:
+        return False
+
+
+def test_semistandard_sp_is_the_whole_grid_pass():
+    seen = {True: 0, False: 0}
+    for n in (2, 3):
+        for t in tableaux_of(n, "sp", n, 4, arbitrary_sp_columns):
+            verdict = is_semistandard_sp(t)
+            assert verdict == whole_grid_sp(t), t.columns
+            seen[verdict] += 1
+    assert seen[True] and seen[False] > seen[True]
+
+
+def test_semistandard_sl_is_the_whole_grid_pass():
+    # arbitrary letter columns, also repeated or decreasing letters
+    seen = {True: 0, False: 0}
+    for n in (3, 4):
+        for t in tableaux_of(n, "sl", n - 1, 4, lambda n, k: list(product(range(1, n + 1), repeat=k))):
+            verdict = is_semistandard_sl(t)
+            assert verdict == (first_grid_violation(t.grid()) is None), t.columns
+            seen[verdict] += 1
+    assert seen[True] and seen[False] > seen[True]
+
+
+def nqs_reference(grid, s):
+    """Non-quasi-standardness at row s, from its three conditions."""
+    top = bool(grid) and len(grid[0]) >= s and all(grid[0][i] == i + 1 for i in range(s))
+    height = any(len(c) == s for c in grid)
+    cross = all(r[s - 1] < l[s] for l, r in zip(grid, grid[1:]) if len(r) >= s and len(l) > s)
+    return top and height and cross
+
+
+def test_nqs_rows_is_the_per_row_reference():
+    grids = []
+    for n in (1, 2, 3):
+        for shape in shapes_up_to(n, 5):
+            for t in enum_ss_sp(n, shape):
+                grids += [dble_tableau(t), t.grid()]
+    for n in (2, 3, 4):
+        for shape in shapes_up_to(n - 1, 5):
+            grids += [t.grid() for t in enum_ss_sl(n, shape)]
+    witnessed = 0
+    for grid in grids:
+        tallest = max(map(len, grid), default=0)
+        assert nqs_rows(grid) == tuple(s for s in range(1, tallest + 1) if nqs_reference(grid, s)), grid
+        assert all(nqs_grid(grid, s) == nqs_reference(grid, s) for s in range(tallest + 2))
+        witnessed += bool(nqs_rows(grid))
+    assert 0 < witnessed < len(grids)
 
 
 def test_example4_pushable():

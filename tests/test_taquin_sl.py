@@ -250,6 +250,26 @@ def test_expand_rejects_q_not_standard():
         expand_sl((1, 1, 1), (1, 1), Tableau.sl(3, ((3,), (2,))))  # rows must weakly increase
 
 
+def test_the_engine_rejects_a_tableau_of_the_other_alphabet():
+    from sptab.taquin_sp import phi, psi, slide_pass_sp
+
+    sp = Tableau.sp(3, [(1, 2), (1,)])
+    sp_quasistandard = Tableau.sp(3, [(2,)])
+    sl = Tableau.sl(3, ((1, 2), (1,)))
+    calls = [
+        lambda: reduce_sl(sp),
+        lambda: reduce_sl(sp_quasistandard),  # no pass to run
+        lambda: slide_pass_sl(sp, 1),
+        lambda: expand_sl(sp.shape, sp.shape, sp),
+        lambda: phi(sl),
+        lambda: slide_pass_sp(sl, 1),
+        lambda: psi(sl.shape, sl.shape, sl),
+    ]
+    for call in calls:
+        with pytest.raises(TableauError, match="expects a"):
+            call()
+
+
 def test_reduce_expand_inverse_rank3():
     from sptab.enumeration import enum_qs_sl, enum_ss_sl, shapes_up_to
 
