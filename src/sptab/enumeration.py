@@ -19,6 +19,7 @@ from .errors import ShapeError
 from .tableaux import (
     Tableau,
     _compatible,
+    check_rank,
     check_shape,
     is_quasistandard_sl,
     is_quasistandard_sp,
@@ -64,12 +65,13 @@ def _enum(n: int, heights: tuple[int, ...], kind: str, candidates) -> list[Table
     """Tableaux built column by column from the (sound) candidates of each
     height, each column compatible with its left neighbour: every prefix is
     extended in turn by each candidate, which keeps the order of a
-    depth-first walk."""
+    depth-first walk.  The rank is checked here, the shape by the caller."""
+    check_rank(n)
     prefixes: list[tuple] = [()]
     for h in heights:
         cands = candidates(n, h)
         prefixes = [p + (c,) for p in prefixes for c in cands if not p or _compatible(p[-1], c)]
-    return [Tableau(n, kind, p) for p in prefixes]
+    return [Tableau._trusted(n, kind, p) for p in prefixes]
 
 
 def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:

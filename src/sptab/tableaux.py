@@ -79,6 +79,11 @@ def check_shape(heights: tuple[int, ...], hmax: int | None = None) -> None:
         raise ShapeError(f"height {heights[0]} exceeds the maximum {hmax}")
 
 
+def check_rank(n: int) -> None:
+    if n < 1:
+        raise TableauError(f"rank must be positive, got {n}")
+
+
 def shape_to_multiplicities(heights: tuple[int, ...], hmax: int) -> tuple[int, ...]:
     """(a_1, ..., a_hmax) with a_k the number of height-k columns."""
     check_shape(heights, hmax)
@@ -159,6 +164,11 @@ class Tableau:
     represented and rejected by them.  A tableau keeps its heights, its
     semi-standard verdict and its non-quasi-standard rows, and a symplectic
     one its double, each worked out at its first read.
+
+    `enumeration._enum` and `taquin_sl._straight` build by `_trusted`, with
+    no check, as their parts passed them: the first joins sound rank-n
+    columns in a checked rank and shape, the second strips a tableau from a
+    checked frame after trapping vacated, star and zero cells.
     """
 
     n: int
@@ -166,8 +176,7 @@ class Tableau:
     columns: tuple
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise TableauError(f"rank must be positive, got {self.n}")
+        check_rank(self.n)
         if self.kind not in ("sl", "sp"):
             raise TableauError(f"unknown kind {self.kind!r}")
         # plain columns are tuples, so a verdict can be memoised per pair
@@ -186,6 +195,13 @@ class Tableau:
                     raise TableauError(f"column {j + 1} is not a rank-{self.n} symplectic column")
                 if not col.is_standard():
                     raise TableauError(f"column {j + 1} contains the extended letter 0")
+
+    @classmethod
+    def _trusted(cls, n: int, kind: str, columns: tuple) -> "Tableau":
+        """Built from parts that passed every check, plain columns as tuples."""
+        t = object.__new__(cls)
+        t.__dict__.update(n=n, kind=kind, columns=columns)
+        return t
 
     @staticmethod
     def sl(n: int, columns) -> "Tableau":

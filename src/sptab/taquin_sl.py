@@ -28,12 +28,14 @@ come from one intern table keyed by the model's letters and the frame
 once per process, and lays out its grid by row (`placed`) once, at first
 read.  The step table `_MOVES` holds the new columns of each move by its
 pair (column j, column j+1), so a move is worked out once per distinct
-pair; a move that raises is not stored.  No move changes the shape of the
-skew region, so the public constructor is the one place that checks a
-frame (outer and inner heights weakly decreasing, at most one star, and in
-the symplectic model one rank): a worked-out move is a trap if its columns'
-heights, inner heights or star rows differ from what the move implies, and
-steps, sheds and star insertions then build their states unchecked.  When
+pair; a move that raises is not stored.  The public constructor is the
+one place that checks a frame (outer and inner heights weakly decreasing,
+at most one star, and in the symplectic model one rank); the engine builds
+its own states unchecked (`_unchecked`), each in a frame known valid.  No
+move changes the frame (a worked-out move is a trap if its columns'
+heights, inner heights or star rows differ from what it implies), a pass
+and the inverse start from trivial columns around a checked tableau's, and
+a rotation turns a valid frame into a valid one.  When
 a slide is checked, the state after its first move is checked whole and
 each later state only on columns j-1 .. j+2, which decides the whole check
 because every other column and pair is as in the state before.  A check is
@@ -43,7 +45,7 @@ in its range.
 
 The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
 the trivial columns it prepends and the star cells in the turned frame.  Its
-start state is built turned over, under one frame check.
+start state is built turned over.
 
 One pass loop (`_passes`) serves reduce_sl and phi, and one alphabet check
 guards the loop, a pass and the inverse.  The rows a pass may push and the
@@ -157,13 +159,18 @@ class _SkewTableau:
             raise TableauError("more than one star")
         self.__dict__["star"] = stars[0] if stars else None
 
+    @classmethod
+    def _unchecked(cls, n: int, columns: tuple, star: tuple[int, int] | None):
+        """The state of these columns, the star at `star`; the caller keeps the frame valid."""
+        state = object.__new__(cls)
+        state.__dict__.update(n=n, columns=columns, star=star)
+        return state
+
     def _with(self, col: int, new: tuple, star: tuple[int, int] | None):
         """Columns col, col+1, ... (1-based) replaced by `new`, the star at
         `star`; unchecked, so the caller must keep the frame."""
-        state = object.__new__(type(self))
         cols = self.columns
-        state.__dict__.update(n=self.n, columns=cols[: col - 1] + new + cols[col - 1 + len(new) :], star=star)
-        return state
+        return self._unchecked(self.n, cols[: col - 1] + new + cols[col - 1 + len(new) :], star)
 
     @property
     def heights(self) -> tuple[int, ...]:
@@ -179,11 +186,12 @@ class _SkewTableau:
 
     def rotated(self):
         """Rotate 180 degrees in the bounding rectangle, star to star; the
-        column model reverses the letters."""
+        column model reverses the letters.  A valid frame turns valid."""
         if not self.columns:
             return self
-        H = self.heights[0]
-        return type(self)(self.n, tuple(c.turned(H, self.n) for c in reversed(self.columns)))
+        H, W, star = self.heights[0], len(self.columns), self.star
+        cols = tuple(c.turned(H, self.n) for c in reversed(self.columns))
+        return self._unchecked(self.n, cols, None if star is None else (H + 1 - star[0], W + 1 - star[1]))
 
 
 def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> bool:
@@ -297,15 +305,15 @@ def shed(state):
 
 
 def _straight(state: _SkewTableau, lead: int) -> Tableau:
-    """The tableau in the columns after the first `lead`; a vacated cell,
-    the star or the extended letter 0 left there is a trap."""
+    """The tableau in the columns after the first `lead`, built unchecked; a
+    vacated cell, the star or the extended letter 0 left there is a trap."""
     cols = state.columns[lead:]
     for c in cols:
         if c.inner or c.star_row is not None:
             raise TaquinInvariantError(f"residual vacated or star cell beyond the first {lead} columns")
         if c.has_zero:
             raise TaquinInvariantError("extended letter 0 survived the slides")
-    return Tableau(state.n, type(state).kind, tuple(c.content for c in cols if c.size))
+    return Tableau._trusted(state.n, type(state).kind, tuple(c.content for c in cols if c.size))
 
 
 def _check_alphabet(cls, t: Tableau) -> None:
@@ -340,7 +348,9 @@ def _slide_pass(cls, t: Tableau, s: int, to_rest) -> Tableau:
     if s not in t._nqs_rows:
         raise TableauError(f"tableau is quasi-standard at row {s}")
     n, model = t.n, cls.column
-    state = cls(n, (model.trivial(n, s + 1, s - 1, s),) + tuple(model.of(n, c) for c in t.columns))
+    # a full-height column before t's columns: a valid frame, star at (s, 1)
+    cols = (model.trivial(n, s + 1, s - 1, s),) + tuple(model.of(n, c) for c in t.columns)
+    state = cls._unchecked(n, cols, (s, 1))
     rest, path = to_rest(state)
     if any(i != s for i, _ in path):
         raise TaquinInvariantError(f"star left row {s}: path {path}")
@@ -387,13 +397,13 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
     n, model = q.n, cls.column
     # d full trivial columns, q, then d empty ones (trivial from past hmax),
     # built turned over in their rectangle of height hmax: the cells of
-    # lambda minus mu are vacated cells on top
+    # lambda minus mu are vacated cells on top, a valid frame with no star
     start = (
         (model.trivial(n, 1),) * d
         + tuple(model.of(n, c) for c in q.columns)
         + (model.trivial(n, hmax + 1),) * d
     )
-    state = cls(n, tuple(c.turned(hmax, n) for c in reversed(start)))
+    state = cls._unchecked(n, tuple(c.turned(hmax, n) for c in reversed(start)), None)
     if record is not None:
         record.append(state)
     exits: list[tuple[int, int]] = []

@@ -118,7 +118,7 @@ class SpSkewColumn(_SkewColumn):
 
     @classmethod
     def of(cls, n: int, col: SymplecticColumn) -> "SpSkewColumn":
-        """A column of a rank-n tableau; a state of rank n rejects another rank."""
+        """A column of a rank-n tableau, whose columns all have rank n."""
         return _interned(cls, col.n, 0, col.A, col.D, None)
 
 

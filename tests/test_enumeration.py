@@ -85,10 +85,11 @@ def test_weyl_dim_matches_the_fraction_product():
 
 
 def test_enumerators_reject_rank_below_one():
-    # the empty shape used to give one tableau of any rank
-    for n in (0, -2):
+    # the empty shape used to give one tableau of any rank; the generators
+    # build their tableaux unchecked, so they give the constructor's message
+    for n in (0, -1, -2):
         for enum in (enum_ss_sp, enum_qs_sp, enum_ss_sl, enum_qs_sl):
-            with pytest.raises(TableauError):
+            with pytest.raises(TableauError, match=f"^rank must be positive, got {n}$"):
                 enum(n, ())
 
 
