@@ -145,13 +145,11 @@ def cmd_enum(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    from .tableaux import is_semistandard_sp, tableau_from_json
+    from .tableaux import tableau_from_json
     from .taquin_sp import phi
 
     t = tableau_from_json(_read_input(args))
     _check_rank(args, t)
-    if not is_semistandard_sp(t):
-        raise SptabError("input tableau is not semi-standard")
     record: list | None = [] if args.trace else None
     mu, q = phi(t, record)
     return _emit_result(args, {"shape": list(mu)}, q, record)

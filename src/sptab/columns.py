@@ -12,6 +12,8 @@ and the double of the column is the two-column pair (A over C' | B over D').
 Conversely (B, C) determines (A, D): J = B cap C and I is the largest
 dominated set in the complement, taken inside [0, n] -- magnitude 0 is the
 boundary extension that slides may touch, anything below 0 is an error.
+Recovery is the doubling's search, read in the mirror x -> n+1-x that maps
+[0, n] onto [1, n+1] and the largest dominated set to the smallest dominating.
 """
 
 from __future__ import annotations
@@ -100,25 +102,6 @@ def _smallest_dominating(I: list[int], pool: list[int]) -> list[int] | None:
     return out
 
 
-def _largest_dominated(J: list[int], pool: list[int]) -> list[int] | None:
-    """Lexicographically largest I in pool (sorted) with I[k] < J[k] for all k."""
-    out: list[int] = []
-    rev = sorted(pool, reverse=True)
-    idx = 0
-    prev: int | None = None
-    for j in reversed(J):
-        hi = j if prev is None else min(j, prev)
-        while idx < len(rev) and rev[idx] >= hi:
-            idx += 1
-        if idx == len(rev):
-            return None
-        out.append(rev[idx])
-        prev = rev[idx]
-        idx += 1
-    out.reverse()
-    return out
-
-
 @dataclass(frozen=True)
 class DoubledColumn:
     """The double of (A, D): the witness sets, and the left column A over C'
@@ -186,18 +169,19 @@ def g_from(B, C, n: int) -> SymplecticColumn:
     """Recover the column (A, D) whose double has the given (B, C).
 
     I is the largest dominated partner of J = B cap C inside the complement
-    of B cup C, taken in [0, n]; needing an index below 0 raises
-    GBoundaryError (the boundary never reached by the reduction pipelines).
+    of B cup C, taken in [0, n]: the smallest dominating partner in the
+    mirror x -> n+1-x.  Needing an index below 0 raises GBoundaryError (the
+    boundary never reached by the reduction pipelines).
     """
     B, C = frozenset(B), frozenset(C)
     _check_subsets(B, C, 0, n)
-    J = sorted(B & C)
-    pool = [x for x in range(0, n + 1) if x not in B and x not in C]
-    I = _largest_dominated(J, pool)
+    J = B & C
+    pool = [n + 1 - x for x in range(n, -1, -1) if x not in B and x not in C]
+    I = _smallest_dominating(sorted(n + 1 - j for j in J), pool)
     if I is None:
-        raise GBoundaryError(f"no dominated partner of J={J} in [0,{n}] outside B∪C")
-    If = frozenset(I)
-    return SymplecticColumn(n, (B - frozenset(J)) | If, (C - frozenset(J)) | If)
+        raise GBoundaryError(f"no dominated partner of J={sorted(J)} in [0,{n}] outside B∪C")
+    I = frozenset(n + 1 - x for x in I)
+    return SymplecticColumn(n, (B - J) | I, (C - J) | I)
 
 
 def surgery_add_B(col: SymplecticColumn, u: int) -> SymplecticColumn:

@@ -174,11 +174,12 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     problems = []
     for t in ss:
         mu, q = phi(t)
-        key = (mu, q.columns)
-        if key in images:
-            problems.append(f"phi not injective: {key} hit twice")
-        images[key] = mu in below and q.shape == mu and is_semistandard_sp(q) and is_quasistandard_sp(q)
-        if not images[key]:
+        ok = mu in below and q.shape == mu and is_semistandard_sp(q) and is_quasistandard_sp(q)
+        seen = len(images)
+        images[mu, q.columns] = ok
+        if len(images) == seen:
+            problems.append(f"phi not injective: {(mu, q.columns)} hit twice")
+        if not ok:
             problems.append(f"phi image outside the union: shape {mu}")
         back = psi(heights, mu, q)
         if back != t:

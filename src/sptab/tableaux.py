@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 from typing import Iterator, Sequence
 
 from .columns import SymplecticColumn, _double as _column_double, dble
@@ -119,16 +120,7 @@ def weight_leq(mu: tuple[int, ...], lam: tuple[int, ...], hmax: int) -> bool:
 def weight_subshapes(lam: tuple[int, ...], hmax: int) -> Iterator[tuple[int, ...]]:
     """All shapes below lambda in the weight order."""
     am = shape_to_multiplicities(lam, hmax)
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == len(am):
-            yield ()
-            return
-        for b in range(am[k] + 1):
-            for rest in rec(k + 1):
-                yield (b,) + rest
-
-    for bm in rec(0):
+    for bm in product(*(range(a + 1) for a in am)):
         yield multiplicities_to_shape(bm)
 
 

@@ -45,12 +45,12 @@ in its range.
 
 The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
 the trivial columns it prepends and the star cells in the turned frame.  Its
-start state is built turned over.
+start state is the straight one, rotated.
 
-One pass loop (`_passes`) serves reduce_sl and phi, and one alphabet check
-guards the loop, a pass and the inverse.  The rows a pass may push and the
-inverse's precondition are read from the tableau (`_nqs_rows`,
-`_semistandard`), the rules tableaux owns.
+One pass loop (`_passes`) serves reduce_sl and phi and checks its input
+semi-standard; one alphabet check guards the loop, a pass and the inverse.
+The rows a pass may push and the inverse's precondition are read from the
+tableau (`_nqs_rows`, `_semistandard`), the rules tableaux owns.
 """
 
 from __future__ import annotations
@@ -249,12 +249,15 @@ def _framed(old: tuple, new: tuple, i: int, j: int) -> tuple:
 
 def _step(state: _SkewTableau):
     """One slide move; None when the star rests at an outer corner.  A move
-    reads only columns j and j+1; one that raises is not stored."""
+    reads only columns j and j+1; one that raises is not stored, nor one
+    from a star off column j's star cell, which would keep it in place."""
     pos = state.star
     if pos is None:
         raise TableauError("no star to slide")
     i, j = pos
     key = state.columns[j - 1 : j + 1]
+    if key[0].star_row != i:
+        raise TaquinInvariantError(f"the star at ({i}, {j}) is not in its column")
     new = _MOVES.get(key)
     if new is None:
         new = _MOVES.setdefault(key, _framed(key, _move(state, i, j), i, j))
@@ -326,6 +329,8 @@ def _passes(cls, t: Tableau, slide_pass, *args):
     largest non-quasi-standard row, until the tableau is quasi-standard;
     `slide_pass(tableau, s, *args)` is the model's pass."""
     _check_alphabet(cls, t)
+    if not t._semistandard:
+        raise TableauError("input tableau is not semi-standard")
     while t._nqs_rows:
         s = max(t._nqs_rows)
         t = slide_pass(t, s, *args)
@@ -396,14 +401,14 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
         return q
     n, model = q.n, cls.column
     # d full trivial columns, q, then d empty ones (trivial from past hmax),
-    # built turned over in their rectangle of height hmax: the cells of
-    # lambda minus mu are vacated cells on top, a valid frame with no star
+    # rotated in their rectangle, hmax tall as the first column is full: the
+    # cells of lambda minus mu are vacated cells on top, a valid frame
     start = (
         (model.trivial(n, 1),) * d
         + tuple(model.of(n, c) for c in q.columns)
         + (model.trivial(n, hmax + 1),) * d
     )
-    state = cls._unchecked(n, tuple(c.turned(hmax, n) for c in reversed(start)), None)
+    state = cls._unchecked(n, start, None).rotated()
     if record is not None:
         record.append(state)
     exits: list[tuple[int, int]] = []

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from sptab.columns import (
     SymplecticColumn,
+    _smallest_dominating,
     dble,
     dble_sets,
     g_from,
@@ -130,6 +131,40 @@ def test_g_from_reaches_zero_boundary():
 def test_g_from_boundary_error():
     with pytest.raises(GBoundaryError):
         g_from({1, 2}, {1, 2}, 2)
+
+
+def subsets(universe, max_size=None):
+    for k in range(len(universe) + 1 if max_size is None else max_size + 1):
+        yield from combinations(universe, k)
+
+
+def test_witness_searches_against_brute_force():
+    # every pool in [0, n] and every J in [0, n+1] with at most three
+    # elements: the doubling's search is the lexicographically smallest
+    # subset of the pool dominating J element-wise, and g_from's search,
+    # the same one in the mirror, the largest one J dominates
+    cases = 0
+    for n in range(7):
+        for pool in subsets(range(n + 1)):
+            for J in subsets(range(n + 2), 3):
+                cases += 1
+                subs = list(combinations(pool, len(J)))
+                above = [S for S in subs if all(j < x for j, x in zip(J, S))]
+                got = _smallest_dominating(list(J), list(pool))
+                assert got == (list(min(above)) if above else None), (J, pool)
+                if not n or set(J) & set(pool) or n + 1 in J:
+                    continue  # not a (B, C) at a positive rank
+                # B holds J and everything outside the pool, C just J, so
+                # that J = B cap C and the pool is the rest of [0, n]
+                B, C = F(range(n + 1)) - F(pool), F(J)
+                below = [S for S in subs if all(x < j for x, j in zip(S, J))]
+                if not below:
+                    with pytest.raises(GBoundaryError):
+                        g_from(B, C, n)
+                    continue
+                I = F(max(below))
+                assert g_from(B, C, n) == SymplecticColumn(n, (B - C) | I, I), (J, pool)
+    assert cases == 17920
 
 
 @given(st.integers(min_value=1, max_value=6), st.data())

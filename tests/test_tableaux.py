@@ -101,6 +101,14 @@ def test_weight_order_differs_from_containment():
     assert set(subshapes((2, 1))) == {(), (1,), (2,), (1, 1), (2, 1)}
 
 
+def test_weight_subshapes_order_and_lazy_check():
+    # multiplicities (a_1, a_2) = (1, 2), the count of height-2 columns fastest
+    assert list(weight_subshapes((2, 2, 1), 2)) == [(), (2,), (2, 2), (1,), (2, 1), (2, 2, 1)]
+    walk = weight_subshapes((0,), 2)  # a generator: the shape is checked at the first next()
+    with pytest.raises(ShapeError):
+        next(walk)
+
+
 # ---------------------------------------------------------------------------
 # doubling and predicates
 

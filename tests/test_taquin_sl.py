@@ -1,7 +1,8 @@
 
 import pytest
 
-from sptab.errors import ShapeError, TableauError
+from sptab import taquin_sl
+from sptab.errors import ShapeError, TableauError, TaquinInvariantError
 from sptab.tableaux import Tableau, first_grid_violation, nqs_rows, skew_cells, weight_subshapes
 from sptab.taquin_sl import (
     SlSkewColumn,
@@ -194,6 +195,27 @@ def test_sigma_loses_trailing_vacated_cells():
     rest_short, _ = jdt_to_rest(short)
     assert jdt_inverse(rest_short) == short
     assert jdt_inverse(rest_tall) == rest_tall_trimmed() != tall
+
+
+def test_a_star_off_its_column_traps_and_no_move_keeps_it(monkeypatch):
+    # a rotation that puts the state's star one row above its column's star
+    # cell: the column reframed around row 1 is the column itself, a stored
+    # move that keeps the star in place would slide it down forever
+    rotated = SlSkewTableau.rotated
+
+    def off_by_one(state):
+        out = rotated(state)
+        i, j = out.star
+        return SlSkewTableau._unchecked(out.n, out.columns, (i - 1, j))
+
+    monkeypatch.setattr(SlSkewTableau, "rotated", off_by_one)
+    monkeypatch.setattr(taquin_sl, "_MOVES", {})
+    rest_short, _ = jdt_to_rest(skew(4, (0, (1,), 1)))
+    with pytest.raises(TaquinInvariantError, match=r"^the star at \(0, 1\) is not in its column$"):
+        jdt_inverse(rest_short)
+    assert taquin_sl._MOVES
+    # () marks a star at rest; every stored move changes column j
+    assert all(not new or new != key[: len(new)] for key, new in taquin_sl._MOVES.items())
 
 
 def rest_tall_trimmed():

@@ -16,7 +16,7 @@ from sptab.errors import (
     TableauError,
     TaquinInvariantError,
 )
-from sptab.tableaux import Tableau, dumps, first_grid_violation, tableau_to_json
+from sptab.tableaux import Tableau, dble_tableau, dumps, first_grid_violation, tableau_to_json
 from sptab.taquin_sl import SlSkewColumn, SlSkewTableau, expand_sl, reduce_sl
 from sptab.taquin_sp import (
     SpSkewColumn,
@@ -270,9 +270,38 @@ def test_slide_pass_requires_nqs():
         slide_pass_sp(q, 1)
 
 
+def test_phi_rejects_a_tableau_that_is_not_semi_standard(tmp_path, capsys):
+    # two admissible columns whose double breaks a row: phi once returned
+    # most of these unchanged and tripped the slide trap on the rest
+    n = 3
+    pairs = [
+        Tableau.sp(n, (a, b))
+        for h in range(1, n + 1)
+        for k in range(1, h + 1)
+        for a in enum_admissible_columns(n, h)
+        for b in enum_admissible_columns(n, k)
+    ]
+    bad = [t for t in pairs if first_grid_violation(dble_tableau(t)) is not None]
+    assert len(bad) == 337 and Tableau.sp(n, ((1, 6), (1,))) in bad
+    for t in bad:
+        with pytest.raises(TableauError, match="^input tableau is not semi-standard$"):
+            phi(t)
+    # a plain-letter tableau meets the alphabet check first
+    plain = Tableau.sl(4, ((2, 1),))
+    with pytest.raises(TableauError, match="^expects a symplectic tableau$"):
+        phi(plain)
+    with pytest.raises(TableauError, match="^input tableau is not semi-standard$"):
+        reduce_sl(plain)
+    path = tmp_path / "t.json"
+    for t, message in ((bad[0], "input tableau is not semi-standard"), (plain, "expects a symplectic tableau")):
+        path.write_text(dumps(tableau_to_json(t)))
+        assert main(["phi", "--n", str(t.n), "--file", str(path)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_slide_pass_shape_bookkeeping():
     from sptab.enumeration import enum_ss_sp, shapes_up_to
-    from sptab.tableaux import dble_tableau, nqs_rows, shape_to_multiplicities
+    from sptab.tableaux import nqs_rows, shape_to_multiplicities
 
     n = 2
     for lam in shapes_up_to(n, 4):
