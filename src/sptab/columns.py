@@ -52,7 +52,7 @@ def _codes(n: int, A, D) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SymplecticColumn:
-    """Column content (A, D) for rank n; magnitude 0 only inside slides."""
+    """Column content (A, D) for rank n, its field hash stored; magnitude 0 only inside slides."""
 
     n: int
     A: frozenset[int]
@@ -66,6 +66,10 @@ class SymplecticColumn:
         _check_subsets(self.A, self.D, 0, self.n)
         if self.height > self.n + 1:
             raise ColumnError(f"column holds {self.height} letters, rank is {self.n}")
+        object.__setattr__(self, "_hash", hash((self.n, self.A, self.D)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def height(self) -> int:

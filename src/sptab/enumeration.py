@@ -3,10 +3,11 @@ bijection verifier.
 
 Generation is column by column: each appended column is sound for its
 height (admissible, or strictly increasing letters) and compatible with its
-left neighbour by the neighbour rule of tableaux (`_compatible`), the rule
-every semi-standard verdict reads; this prunes early and keeps the
-exhaustive suites fast.  Output orders are deterministic (columns sorted by
-their visible letter codes).
+left neighbour by the pair memo of tableaux (`_pair`), the rule every
+semi-standard verdict reads; this prunes early and keeps the exhaustive
+suites fast.  Each prefix ORs the rows its columns and pairs kill, so every
+tableau is built with both verdicts recorded.  Output orders are
+deterministic (columns sorted by their visible letter codes).
 """
 
 from __future__ import annotations
@@ -18,7 +19,9 @@ from .columns import SymplecticColumn, is_admissible
 from .errors import ShapeError
 from .tableaux import (
     Tableau,
-    _compatible,
+    _column,
+    _pair,
+    _rows,
     check_rank,
     check_shape,
     is_quasistandard_sl,
@@ -65,13 +68,25 @@ def _enum(n: int, heights: tuple[int, ...], kind: str, candidates) -> list[Table
     """Tableaux built column by column from the (sound) candidates of each
     height, each column compatible with its left neighbour: every prefix is
     extended in turn by each candidate, which keeps the order of a
-    depth-first walk.  The rank is checked here, the shape by the caller."""
+    depth-first walk.  Each is semi-standard, and not quasi-standard at the
+    heights up to its first column's trivial top that no column or pair of
+    its prefix killed.  The rank is checked here, the shape by the caller."""
     check_rank(n)
-    prefixes: list[tuple] = [()]
+    prefixes: list[tuple] = [((), 0)]
     for h in heights:
-        cands = candidates(n, h)
-        prefixes = [p + (c,) for p in prefixes for c in cands if not p or _compatible(p[-1], c)]
-    return [Tableau._trusted(n, kind, p) for p in prefixes]
+        cands = [(c, _column(c)[2]) for c in candidates(n, h)]
+        grown = []
+        for p, killed in prefixes:
+            for c, kills in cands:
+                ok, cross = _pair(p[-1], c) if p else (True, 0)
+                if ok:
+                    grown.append((p + (c,), killed | kills | cross))
+        prefixes = grown
+    shape_rows, out = sum({1 << h for h in heights}), []
+    for p, killed in prefixes:
+        up_to_top = (2 << _column(p[0])[1]) - 1 if p else 0
+        out.append(Tableau._trusted(n, kind, p, _semistandard=True, _nqs_rows=_rows(shape_rows & up_to_top & ~killed)))
+    return out
 
 
 def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:

@@ -11,16 +11,21 @@ on shapes matter here, and they differ:
 
 Grids are tuples of columns, each column a top-down tuple of letter codes.
 
-Each rule about a straight tableau is here once, for every layer to read:
-the neighbour rule `_compatible`, the semi-standard verdict built on it, and
-the non-quasi-standard rows `nqs_rows`.
+Each rule about a straight tableau is here once, for every layer to read.
+Both verdicts are facts about columns (`_column`: sound, trivial top, the
+rows its double kills) and neighbouring pairs (`_pair`: compatible, the rows
+the cross inequality kills), each memoised once per process, a kill set a
+bitmask found by one rule (`_kills`).  A tableau is semi-standard when every
+column is sound and every pair compatible; its non-quasi-standard rows are
+the heights up to its first column's trivial top that no column or pair
+kills, a fold that stops once no row is left, as `nqs_rows` on a grid.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Sequence
 
@@ -147,6 +152,21 @@ def skew_cells(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int
 # ---------------------------------------------------------------------------
 # tableaux
 
+
+class _memo:
+    """`functools.cached_property` without the lock it takes on every first
+    read before Python 3.12: the value shadows it in the instance's dict."""
+
+    def __init__(self, fn) -> None:
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A straight-shape tableau: plain letter columns (sl) or symplectic columns (sp).
@@ -154,13 +174,14 @@ class Tableau:
     Construction validates the shape and letter ranges only; semistandardness
     and admissibility are predicates, so that failing fillings can be
     represented and rejected by them.  A tableau keeps its heights, its
-    semi-standard verdict and its non-quasi-standard rows, and a symplectic
-    one its double, each worked out at its first read.
+    semi-standard verdict and its non-quasi-standard rows, each worked out
+    at its first read.
 
     `enumeration._enum` and `taquin_sl._straight` build by `_trusted`, with
     no check, as their parts passed them: the first joins sound rank-n
-    columns in a checked rank and shape, the second strips a tableau from a
-    checked frame after trapping vacated, star and zero cells.
+    columns in a checked rank and shape and records both verdicts, the
+    second strips a tableau from a checked frame after trapping vacated,
+    star and zero cells.
     """
 
     n: int
@@ -189,10 +210,11 @@ class Tableau:
                     raise TableauError(f"column {j + 1} contains the extended letter 0")
 
     @classmethod
-    def _trusted(cls, n: int, kind: str, columns: tuple) -> "Tableau":
-        """Built from parts that passed every check, plain columns as tuples."""
+    def _trusted(cls, n: int, kind: str, columns: tuple, **verdicts) -> "Tableau":
+        """Built from parts that passed every check, plain columns as tuples;
+        `verdicts` are memoised properties already known."""
         t = object.__new__(cls)
-        t.__dict__.update(n=n, kind=kind, columns=columns)
+        t.__dict__.update(verdicts, n=n, kind=kind, columns=columns)
         return t
 
     @staticmethod
@@ -222,7 +244,7 @@ class Tableau:
             cols.append(SymplecticColumn(n, frozenset(A), frozenset(D)))
         return Tableau(n, "sp", tuple(cols))
 
-    @cached_property
+    @_memo
     def heights(self) -> tuple[int, ...]:
         if self.kind == "sl":
             return tuple(len(c) for c in self.columns)
@@ -249,65 +271,97 @@ class Tableau:
     def __str__(self) -> str:
         return render(self)
 
-    @cached_property
-    def _double(self) -> Grid | None:
-        return _admissible_double(self)
-
-    @cached_property
+    @_memo
     def _semistandard(self) -> bool:
         """Every column is sound and every pair of neighbours compatible.  A
         plain column is sound when its letters strictly increase; a
         symplectic one when it is admissible, since the double of an
         admissible column is semi-standard on its own."""
         cols = self.columns
-        if self.kind == "sp":
-            sound = self._double is not None
-        else:
-            sound = all(a < b for c in cols for a, b in zip(c, c[1:]))
-        return sound and all(map(_compatible, cols, cols[1:]))
+        return all(_column(c)[0] for c in cols) and all(_pair(a, b)[0] for a, b in zip(cols, cols[1:]))
 
-    @cached_property
+    @_memo
     def _nqs_rows(self) -> tuple[int, ...]:
         """The non-quasi-standard rows of the double, or of the letters."""
-        return nqs_rows(dble_tableau(self) if self.kind == "sp" else self.columns)
+        top = _column(self.columns[0])[1] if self.columns else 0
+        return _rows(self._unkilled(sum({1 << h for h in self.heights if h <= top})))
+
+    def _unkilled(self, rows: int) -> int:
+        """Those of `rows` (bit s for row s) that no column or pair kills; the
+        first inadmissible column raises, the pairs stop when none is left."""
+        cols = self.columns
+        for c in cols:
+            sound, _, kills = _column(c)
+            if not sound and self.kind == "sp":
+                dble(c)  # raises
+            rows &= ~kills
+        for a, b in zip(cols, cols[1:]):
+            if not rows:
+                break
+            rows &= ~_pair(a, b)[1]
+        return rows
 
 
-# the verdict of each pair of neighbouring sound columns
+# the facts of each column, and of each pair of neighbouring columns
+_COLUMNS: dict = {}
 _PAIRS: dict = {}
 
 
-def _compatible(a, b) -> bool:
-    """Whether the right half of column a's grid is at most the left half of
-    column b's, row by row: a's letters or the right column of its double,
-    against b's letters or the left column of its double.  Both columns are
-    sound (see `Tableau._semistandard`)."""
-    ok = _PAIRS.get((a, b))
-    if ok is None:
+def _column(c) -> tuple[bool, int, int]:
+    """(sound, length of the trivial top, rows killed inside its double) of a
+    letter column (killing none) or a symplectic one; (False, 0, 0) if inadmissible."""
+    facts = _COLUMNS.get(c)
+    if facts is None:
+        if isinstance(c, SymplecticColumn):
+            d = _column_double(c.n, c.A, c.D)
+            facts = (False, 0, 0) if d is None else (True, _top(d.left), _kills(d.left, d.right))
+        else:
+            facts = (all(a < b for a, b in zip(c, c[1:])), _top(c), 0)
+        _COLUMNS[c] = facts
+    return facts
+
+
+def _pair(a, b) -> tuple[bool, int]:
+    """Whether the right half of column a's grid (its letters, or its double's
+    right column) is at most b's left half row by row, and the rows the cross
+    inequality between those halves kills; a symplectic column is admissible."""
+    facts = _PAIRS.get((a, b))
+    if facts is None:
         right = _column_double(a.n, a.A, a.D).right if isinstance(a, SymplecticColumn) else a
         left = _column_double(b.n, b.A, b.D).left if isinstance(b, SymplecticColumn) else b
-        ok = _PAIRS[a, b] = all(x <= y for x, y in zip(right, left))
-    return ok
+        facts = _PAIRS[a, b] = (all(x <= y for x, y in zip(right, left)), _kills(right, left))
+    return facts
 
 
-def _admissible_double(t: Tableau) -> Grid | None:
-    """The double of a symplectic tableau; None when a column is inadmissible."""
-    out: list[tuple[int, ...]] = []
-    for col in t.columns:
-        d = _column_double(col.n, col.A, col.D)
-        if d is None:
-            return None
-        out += (d.left, d.right)
-    return tuple(out)
+def _kills(left: Sequence[int], right: Sequence[int]) -> int:
+    """The rows s (as bits, 1-based) at which the cross inequality right[s] <
+    left[s+1] between neighbouring grid columns fails, where both exist."""
+    kills = 0
+    for s in range(1, min(len(left) - 1, len(right)) + 1):
+        if not right[s - 1] < left[s]:
+            kills |= 1 << s
+    return kills
+
+
+def _top(col: Sequence[int]) -> int:
+    """How many of the letters 1, 2, ... head the column."""
+    top = 0
+    while top < len(col) and col[top] == top + 1:
+        top += 1
+    return top
+
+
+@lru_cache(maxsize=None)
+def _rows(mask: int) -> tuple[int, ...]:
+    """The rows of a bitmask, ascending."""
+    return tuple(s for s in range(mask.bit_length()) if mask >> s & 1)
 
 
 def dble_tableau(t: Tableau) -> Grid:
     """Juxtapose the doubles of the columns; fails on an inadmissible column."""
     if t.kind != "sp":
         raise TableauError("only symplectic tableaux have a double")
-    if t._double is None:
-        for col in t.columns:
-            dble(col)  # raises on the first inadmissible column
-    return t._double
+    return tuple(half for d in map(dble, t.columns) for half in (d.left, d.right))
 
 
 # ---------------------------------------------------------------------------
@@ -346,20 +400,13 @@ def nqs_rows(grid: Grid) -> tuple[int, ...]:
     column has height exactly s, and the cross inequalities hold at s."""
     if not grid:
         return ()
-    col1, top = grid[0], 0
-    while top < len(col1) and col1[top] == top + 1:
-        top += 1
-    return tuple(sorted(_cross_inequality_rows(grid, {h for h in map(len, grid) if 0 < h <= top})))
-
-
-def _cross_inequality_rows(grid: Grid, rows: set[int]) -> set[int]:
-    """Those rows s of `rows` at which t[s][j+1] < t[s+1][j] (rows 1-based)
-    wherever both entries exist."""
+    top = _top(grid[0])
+    rows = sum({1 << h for h in map(len, grid) if 0 < h <= top})
     for left, right in zip(grid, grid[1:]):
         if not rows:
             break
-        rows = {s for s in rows if s >= len(left) or s > len(right) or right[s - 1] < left[s]}
-    return rows
+        rows &= ~_kills(left, right)
+    return _rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +421,7 @@ def is_semistandard_sl(t: Tableau) -> bool:
 
 def is_quasistandard_sl(t: Tableau) -> bool:
     """No row witnesses non-quasi-standardness of the visible letters."""
-    return not nqs_rows(t.grid())
+    return not (t._nqs_rows if t.kind == "sl" else nqs_rows(t.grid()))
 
 
 def is_semistandard_sp(t: Tableau) -> bool:
@@ -384,13 +431,17 @@ def is_semistandard_sp(t: Tableau) -> bool:
 
 
 def is_quasistandard_sp(t: Tableau) -> bool:
+    if t.kind != "sp":
+        raise TableauError("expects a symplectic tableau")
     return not t._nqs_rows
 
 
 def nqs_with_height(t: Tableau, s: int) -> bool:
     """Pushable at s in the weak sense: a height-s column plus the cross
     inequalities on the double, without the trivial-top requirement."""
-    return s in t.heights and bool(_cross_inequality_rows(dble_tableau(t), {s}))
+    if t.kind != "sp" and s in t.heights:
+        raise TableauError("only symplectic tableaux have a double")
+    return s in t.heights and bool(t._unkilled(1 << s))
 
 
 # ---------------------------------------------------------------------------

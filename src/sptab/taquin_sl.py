@@ -56,11 +56,11 @@ tableau (`_nqs_rows`, `_semistandard`), the rules tableaux owns.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
-from .tableaux import Tableau, first_grid_violation, shape_contains, skew_cells, weight_leq
+from .tableaux import Tableau, _memo, first_grid_violation, shape_contains, skew_cells, weight_leq
 
 __all__ = [
     "SlSkewColumn",
@@ -118,7 +118,7 @@ class _SkewColumn:
             out.insert(self.star_row - 1, None)
         return out
 
-    @cached_property
+    @_memo
     def placed(self) -> tuple[list[int | None], ...]:
         """The halves of the grid, each placed by `rows`; kept from the first
         read on, not built eagerly: a column with no double raises here."""

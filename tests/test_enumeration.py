@@ -217,3 +217,49 @@ def test_enumeration_leaves_no_reference_cycle():
 def test_verify_bijection_rank4_small():
     for lam in shapes_up_to(4, 4):
         assert verify_bijection(4, lam)["status"] == "pass"
+
+
+@pytest.fixture
+def fresh_qs_counts():
+    # a patched generator must not leave its counts in the memo
+    counts = enumeration._qs_count
+    counts.cache_clear()
+    yield
+    counts.cache_clear()
+
+
+def test_verify_bijection_fails_when_only_the_weyl_dimension_disagrees(monkeypatch, fresh_qs_counts):
+    # without the column [1'] the semi-standard and quasi-standard sets
+    # shrink together and phi still maps the one onto the other
+    n, lam, real = 2, (2, 1), enumeration.enum_admissible_columns
+    dropped = Tableau.sp(n, [(4,)]).columns[0]
+    monkeypatch.setattr(
+        enumeration, "enum_admissible_columns", lambda n, k: tuple(c for c in real(n, k) if c != dropped)
+    )
+    r = verify_bijection(n, lam)
+    assert (r["problems"], r["round_trip_failures"]) == ([], [])
+    assert (r["counts"]["ss"], sum(r["counts"]["qs_by_subshape"].values()), r["counts"]["weyl"]) == (11, 11, 16)
+    assert r["status"] == "fail"
+
+
+def test_verify_bijection_reports_a_quasi_standard_image_of_a_shape_not_below(monkeypatch):
+    # [[2],[2],[2]] is semi-standard and quasi-standard, but (1, 1, 1) is not
+    # below (2, 1) in the weight order
+    n, lam = 2, (2, 1)
+    ss = enum_ss_sp(n, lam)
+    real, fed = taquin_sp.phi, []
+    outside = Tableau.sp(n, [(2,), (2,), (2,)])
+    monkeypatch.setattr(taquin_sp, "phi", lambda t: fed.append(t) or (((1, 1, 1), outside) if t == ss[0] else real(t)))
+    monkeypatch.setattr(taquin_sp, "psi", lambda lam, mu, q: fed[-1])
+    r = verify_bijection(n, lam)
+    assert r["problems"] == ["phi image outside the union: shape (1, 1, 1)", "1 quasi-standard tableaux not reached"]
+    assert r["status"] == "fail"
+
+
+def test_verify_bijection_reports_more_images_than_counted(monkeypatch):
+    # a count one short of |QS(mu)| leaves one image more than it counts
+    n, lam, real = 2, (2, 1), enumeration._qs_count
+    monkeypatch.setattr(enumeration, "_qs_count", lambda n, mu: real(n, mu) - (mu == (2,)))
+    r = verify_bijection(n, lam)
+    assert r["problems"] == ["-1 quasi-standard tableaux not reached"]
+    assert r["counts"]["qs_by_subshape"]["2"] == 3 and r["status"] == "fail"

@@ -1,7 +1,9 @@
+import re
 from itertools import combinations, product
 
 import pytest
 
+from sptab import tableaux
 from sptab.columns import SymplecticColumn
 from sptab.enumeration import enum_admissible_columns, enum_ss_sl, enum_ss_sp, shapes_up_to
 from sptab.errors import InadmissibleColumnError, ParseError, ShapeError, TableauError
@@ -241,30 +243,72 @@ def test_semistandard_sl_is_the_whole_grid_pass():
     assert seen[True] and seen[False] > seen[True]
 
 
+def pushable_reference(grid, s):
+    """A column of height s, and the cross inequalities at row s."""
+    height = any(len(c) == s for c in grid)
+    return height and all(r[s - 1] < l[s] for l, r in zip(grid, grid[1:]) if len(r) >= s and len(l) > s)
+
+
 def nqs_reference(grid, s):
     """Non-quasi-standardness at row s, from its three conditions."""
     top = bool(grid) and len(grid[0]) >= s and all(grid[0][i] == i + 1 for i in range(s))
-    height = any(len(c) == s for c in grid)
-    cross = all(r[s - 1] < l[s] for l, r in zip(grid, grid[1:]) if len(r) >= s and len(l) > s)
-    return top and height and cross
+    return top and pushable_reference(grid, s)
 
 
 def test_nqs_rows_is_the_per_row_reference():
+    # the grid pass and the tableau's fold over its column and pair memos
+    # (fresh builds, so the fold runs rather than the generators' record)
+    # both equal the rows the three conditions give
     grids = []
-    for n in (1, 2, 3):
-        for shape in shapes_up_to(n, 5):
+    for n, boxes in ((1, 6), (2, 6), (3, 6), (4, 5)):
+        for shape in shapes_up_to(n, boxes):
             for t in enum_ss_sp(n, shape):
-                grids += [dble_tableau(t), t.grid()]
-    for n in (2, 3, 4):
-        for shape in shapes_up_to(n - 1, 5):
-            grids += [t.grid() for t in enum_ss_sl(n, shape)]
+                grids += [(dble_tableau(t), Tableau(n, "sp", t.columns)), (t.grid(), None)]
+    for n in (1, 2, 3, 4, 5):
+        for shape in shapes_up_to(n - 1, 6):
+            grids += [(t.grid(), Tableau(n, "sl", t.columns)) for t in enum_ss_sl(n, shape)]
     witnessed = 0
-    for grid in grids:
+    for grid, t in grids:
         tallest = max(map(len, grid), default=0)
-        assert nqs_rows(grid) == tuple(s for s in range(1, tallest + 1) if nqs_reference(grid, s)), grid
+        rows = tuple(s for s in range(1, tallest + 1) if nqs_reference(grid, s))
+        assert nqs_rows(grid) == rows, grid
+        assert t is None or t._nqs_rows == rows, grid
+        if t is not None and t.kind == "sp":
+            assert all(nqs_with_height(t, s) == pushable_reference(grid, s) for s in range(tallest + 2))
         assert all(nqs_grid(grid, s) == nqs_reference(grid, s) for s in range(tallest + 2))
-        witnessed += bool(nqs_rows(grid))
+        witnessed += bool(rows)
     assert 0 < witnessed < len(grids)
+
+
+def test_nqs_rows_raise_at_the_first_inadmissible_column():
+    # [2,3,3'] and [3,3'] are not admissible at rank 3; the fold reads every
+    # column, also when no row is a candidate ([2,3] has no trivial top)
+    bad3, bad2 = SymplecticColumn(3, F({2, 3}), F({3})), SymplecticColumn(3, F({3}), F({3}))
+    for cols, first in (((bad3, bad2), bad3), ((SymplecticColumn(3, F({1, 2, 3}), F()), bad2), bad2),
+                        ((SymplecticColumn(3, F({2, 3}), F()), bad2), bad2)):
+        message = f"^column {re.escape(str(first))} is not admissible for rank 3$"
+        with pytest.raises(InadmissibleColumnError, match=message):
+            dble_tableau(Tableau(3, "sp", cols))
+        for read in (lambda t: t._nqs_rows, is_quasistandard_sp):
+            with pytest.raises(InadmissibleColumnError, match=message):
+                read(Tableau(3, "sp", cols))
+
+
+def test_quasistandard_predicates_check_their_alphabet(monkeypatch):
+    # the plain-letter tableau [[1,2],[1]] once got a verdict from
+    # is_quasistandard_sp on its letters
+    plain = Tableau.sl(4, ((1, 2), (1,)))
+    for predicate in (is_semistandard_sp, is_quasistandard_sp):
+        with pytest.raises(TableauError, match="^expects a symplectic tableau$"):
+            predicate(plain)
+    # on plain letters is_quasistandard_sl reads the rows the generators
+    # record, with no grid pass; on a symplectic tableau, its visible letters
+    ts = [t for shape in shapes_up_to(3, 4) for t in enum_ss_sl(4, shape)]
+    expected = [not nqs_rows(t.grid()) for t in ts]
+    assert all("_nqs_rows" in t.__dict__ for t in ts) and True in expected and False in expected
+    monkeypatch.setattr(tableaux, "nqs_rows", None)
+    assert [is_quasistandard_sl(t) for t in ts] == expected
+    assert is_quasistandard_sl(plain) is False
 
 
 def test_example4_pushable():

@@ -4,7 +4,7 @@ import re
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
-from sptab import columns, tableaux, taquin_sl, taquin_sp
+from sptab import columns, taquin_sl, taquin_sp
 from sptab.cli import main
 from sptab.columns import SymplecticColumn, surgery_add_B, surgery_add_D, surgery_remove_A, surgery_remove_C
 from sptab.enumeration import enum_admissible_columns, enum_ss_sl, enum_ss_sp, shapes_up_to
@@ -246,22 +246,22 @@ def test_psi_rejects_q_not_quasistandard():
         psi((2, 2), (2,), Tableau.sp(2, [(2, 3)]))  # [2, 2'] is not admissible
 
 
-def test_psi_doubles_q_once_and_rejects_an_inadmissible_column(monkeypatch):
-    # a tableau keeps its double: phi works out q's, psi reads it
-    calls = []
-    double = tableaux._admissible_double
-    monkeypatch.setattr(tableaux, "_admissible_double", lambda t: calls.append(t) or double(t))
+def test_psi_reads_q_verdicts_and_rejects_an_inadmissible_column(monkeypatch):
+    # a tableau keeps its verdicts: phi folds q's rows from the column and
+    # pair memos, once, and psi reads them
+    folds, unkilled = [], Tableau._unkilled
+    monkeypatch.setattr(Tableau, "_unkilled", lambda t, rows: folds.append(t) or unkilled(t, rows))
     mu, q = phi(T_EX4)
     assert psi(T_EX4.shape, mu, q) == T_EX4
     assert psi(mu, mu, q) == q
-    assert calls.count(q) == 1
+    assert folds.count(q) == 1
     # [2, 2'] is not admissible: the same error as a q that is not standard,
-    # whether or not lambda = mu, and its missing double is looked for once
+    # whether or not lambda = mu, and its verdict is worked out once
     bad = Tableau.sp(2, [(2, 3)])
     for lam in ((2,), (2, 2)):
         with pytest.raises(TableauError, match="not semi-standard and quasi-standard"):
             psi(lam, (2,), bad)
-    assert calls.count(bad) == 1 and bad._double is None
+    assert bad.__dict__["_semistandard"] is False and bad not in folds
 
 
 def test_slide_pass_requires_nqs():
