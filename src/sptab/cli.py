@@ -42,17 +42,25 @@ def _emit(obj: object) -> None:
     sys.stdout.write(dumps(obj) + "\n")
 
 
-def _check_rank(args, t) -> None:
-    if t.n != args.n:
-        raise SptabError(f"--n {args.n} does not match the input rank {t.n}")
+def _match_rank(args, n: int) -> None:
+    if n != args.n:
+        raise SptabError(f"--n {args.n} does not match the input rank {n}")
+
+
+def _tableau(args, data):
+    """The tableau of the JSON input `data`, its rank matched against --n."""
+    from .tableaux import tableau_from_json
+
+    t = tableau_from_json(data)
+    _match_rank(args, t.n)
+    return t
 
 
 def cmd_double(args) -> int:
     from .letters import from_code, letter_to_json
-    from .tableaux import dble_tableau, render_grid, tableau_from_json
+    from .tableaux import dble_tableau, render_grid
 
-    t = tableau_from_json(_read_input(args))
-    _check_rank(args, t)
+    t = _tableau(args, _read_input(args))
     if t.kind != "sp":
         raise SptabError("double expects a symplectic tableau")
     grid = dble_tableau(t)
@@ -67,7 +75,7 @@ def cmd_double(args) -> int:
 def cmd_check(args) -> int:
     from .columns import is_admissible
     from .letters import code as letter_code, letter_from_json
-    from .tableaux import Tableau, dble_tableau, first_grid_violation, nqs_rows, tableau_from_json
+    from .tableaux import Tableau, check_kind, dble_tableau, first_grid_violation, nqs_rows
 
     data = _read_input(args)
     if args.predicate == "admissible" and isinstance(data, list):
@@ -75,13 +83,10 @@ def cmd_check(args) -> int:
         col = Tableau.sp(args.n, [tuple(letter_code(l, args.n) for l in letters)]).columns[0]
         _emit({"result": is_admissible(col), "violation": None})
         return 0
-    t = tableau_from_json(data)
-    _check_rank(args, t)
+    t = _tableau(args, data)
     pred, violation = args.predicate, None
-    if pred in ("admissible", "ss-sp", "qs-sp") and t.kind != "sp":
-        raise SptabError("expects a symplectic tableau")
-    if pred == "ss-sl" and t.kind != "sl":
-        raise SptabError("expects a plain-letter tableau")
+    if pred != "qs-sl":
+        check_kind(t, "sl" if pred == "ss-sl" else "sp")
     if pred in ("admissible", "ss-sp"):
         bad = next((j for j, col in enumerate(t.columns, start=1) if not is_admissible(col)), None)
         if bad is not None:
@@ -145,22 +150,18 @@ def cmd_enum(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    from .tableaux import tableau_from_json
     from .taquin_sp import phi
 
-    t = tableau_from_json(_read_input(args))
-    _check_rank(args, t)
+    t = _tableau(args, _read_input(args))
     record: list | None = [] if args.trace else None
     mu, q = phi(t, record)
     return _emit_result(args, {"shape": list(mu)}, q, record)
 
 
 def cmd_psi(args) -> int:
-    from .tableaux import tableau_from_json
     from .taquin_sp import psi
 
-    t = tableau_from_json(_read_input(args))
-    _check_rank(args, t)
+    t = _tableau(args, _read_input(args))
     lam = _parse_ints(args.target_shape)
     record: list | None = [] if args.trace else None
     return _emit_result(args, {}, psi(lam, t.shape, t, record), record)
@@ -191,8 +192,7 @@ def cmd_sjdt(args) -> int:
     n = data.get("n", args.n)
     if not _is_int(n):
         raise ParseError(f"unreadable rank {n!r}")
-    if n != args.n:
-        raise SptabError(f"--n {args.n} does not match the input rank {n}")
+    _match_rank(args, n)
     raw_cols = data["columns"]
     if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
         raise ParseError("sjdt columns must be a list of lists")

@@ -90,6 +90,12 @@ def check_rank(n: int) -> None:
         raise TableauError(f"rank must be positive, got {n}")
 
 
+def check_kind(t: Tableau, kind: str) -> None:
+    """The tableau is of the alphabet `kind`: "sp" symplectic, "sl" plain letters."""
+    if t.kind != kind:
+        raise TableauError(f"expects a {'symplectic' if kind == 'sp' else 'plain-letter'} tableau")
+
+
 def shape_to_multiplicities(heights: tuple[int, ...], hmax: int) -> tuple[int, ...]:
     """(a_1, ..., a_hmax) with a_k the number of height-k columns."""
     check_shape(heights, hmax)
@@ -414,8 +420,7 @@ def nqs_rows(grid: Grid) -> tuple[int, ...]:
 
 
 def is_semistandard_sl(t: Tableau) -> bool:
-    if t.kind != "sl":
-        raise TableauError("expects a plain-letter tableau")
+    check_kind(t, "sl")
     return t._semistandard
 
 
@@ -425,22 +430,19 @@ def is_quasistandard_sl(t: Tableau) -> bool:
 
 
 def is_semistandard_sp(t: Tableau) -> bool:
-    if t.kind != "sp":
-        raise TableauError("expects a symplectic tableau")
+    check_kind(t, "sp")
     return t._semistandard
 
 
 def is_quasistandard_sp(t: Tableau) -> bool:
-    if t.kind != "sp":
-        raise TableauError("expects a symplectic tableau")
+    check_kind(t, "sp")
     return not t._nqs_rows
 
 
 def nqs_with_height(t: Tableau, s: int) -> bool:
     """Pushable at s in the weak sense: a height-s column plus the cross
     inequalities on the double, without the trivial-top requirement."""
-    if t.kind != "sp" and s in t.heights:
-        raise TableauError("only symplectic tableaux have a double")
+    check_kind(t, "sp")
     return s in t.heights and bool(t._unkilled(1 << s))
 
 
@@ -481,16 +483,12 @@ def parse(text: str, n: int, kind: str) -> Tableau:
 
 
 def _from_rows(rows: list[list[Letter]], n: int, kind: str) -> Tableau:
-    ncols = max((len(r) for r in rows), default=0)
-    columns = []
-    for j in range(ncols):
-        columns.append([row[j] for row in rows if len(row) > j])
-    for j in range(1, ncols):
-        if len(columns[j]) > len(columns[j - 1]):
-            raise ParseError(f"column {j + 1} is taller than column {j}")
-    for i, row in enumerate(rows):
-        if len(row) > len(rows[0]):
-            raise ParseError(f"row {i + 1} is longer than row 1")
+    """The tableau with these rows, top-down; their lengths weakly decrease,
+    so column j holds one cell of each row longer than j."""
+    for i in range(1, len(rows)):
+        if len(rows[i]) > len(rows[i - 1]):
+            raise ParseError(f"row {i + 1} is longer than row {i}")
+    columns = [[row[j] for row in rows if len(row) > j] for j in range(len(rows[0]) if rows else 0)]
     return _from_letters(columns, n, kind)
 
 

@@ -48,9 +48,9 @@ the trivial columns it prepends and the star cells in the turned frame.  Its
 start state is the straight one, rotated.
 
 One pass loop (`_passes`) serves reduce_sl and phi and checks its input
-semi-standard; one alphabet check guards the loop, a pass and the inverse.
-The rows a pass may push and the inverse's precondition are read from the
-tableau (`_nqs_rows`, `_semistandard`), the rules tableaux owns.
+semi-standard.  The alphabet check (`check_kind`), the rows a pass may push
+and the inverse's precondition are read from tableaux, which owns those
+rules (`_nqs_rows`, `_semistandard`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from functools import lru_cache
 
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
-from .tableaux import Tableau, _memo, first_grid_violation, shape_contains, skew_cells, weight_leq
+from .tableaux import Tableau, _memo, check_kind, first_grid_violation, skew_cells, weight_leq
 
 __all__ = [
     "SlSkewColumn",
@@ -319,16 +319,11 @@ def _straight(state: _SkewTableau, lead: int) -> Tableau:
     return Tableau._trusted(state.n, type(state).kind, tuple(c.content for c in cols if c.size))
 
 
-def _check_alphabet(cls, t: Tableau) -> None:
-    if t.kind != cls.kind:
-        raise TableauError(f"expects a {'symplectic' if cls.kind == 'sp' else 'plain-letter'} tableau")
-
-
 def _passes(cls, t: Tableau, slide_pass, *args):
     """Yield (s, tableau after the pass) for each reduction pass, at the
     largest non-quasi-standard row, until the tableau is quasi-standard;
     `slide_pass(tableau, s, *args)` is the model's pass."""
-    _check_alphabet(cls, t)
+    check_kind(t, cls.kind)
     if not t._semistandard:
         raise TableauError("input tableau is not semi-standard")
     while t._nqs_rows:
@@ -349,7 +344,7 @@ def _slide_pass(cls, t: Tableau, s: int, to_rest) -> Tableau:
     vacated cells and the star at s, slide to rest, strip it.  The
     invariants from theory are hard traps: the star stays in row s, no 0
     appears, the first column ends trivial."""
-    _check_alphabet(cls, t)
+    check_kind(t, cls.kind)
     if s not in t._nqs_rows:
         raise TableauError(f"tableau is quasi-standard at row {s}")
     n, model = t.n, cls.column
@@ -369,14 +364,13 @@ def _slide_pass(cls, t: Tableau, s: int, to_rest) -> Tableau:
 
 @lru_cache(maxsize=None)
 def _plan(lam: tuple[int, ...], mu: tuple[int, ...], hmax: int) -> tuple[int, tuple]:
-    """Check that mu lies in lambda and below it in the weight order; then
-    d, the trivial columns to prepend, and the stars (k, row, col) in sliding
-    order: lambda minus mu in reading order, numbered down, turned over."""
-    if not shape_contains(mu, lam):
-        raise ShapeError(f"{mu} is not contained in {lam}")
+    """Check that mu lies in lambda (the skew cells check it) and below it in
+    the weight order; then d, the trivial columns to prepend, and the stars
+    (k, row, col) in sliding order: lambda minus mu in reading order,
+    numbered down, turned over."""
+    d, cells = len(lam) - len(mu), skew_cells(lam, mu)
     if not weight_leq(mu, lam, hmax):
         raise ShapeError(f"{mu} is not below {lam} in the weight order")
-    d, cells = len(lam) - len(mu), skew_cells(lam, mu)
     W = len(mu) + 2 * d
     return d, tuple((len(cells) - k, hmax + 1 - i, W + 1 - (j + d)) for k, (i, j) in enumerate(cells))
 
@@ -394,7 +388,7 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
     if q.shape != mu:
         raise ShapeError(f"tableau shape {q.shape} is not {mu}")
     d, stars = _plan(lam, mu, hmax)
-    _check_alphabet(cls, q)
+    check_kind(q, cls.kind)
     if not q._semistandard or q._nqs_rows:
         raise TableauError("the tableau to expand is not semi-standard and quasi-standard")
     if lam == mu:

@@ -270,6 +270,8 @@ def test_surgery_golden_remove_C():
     assert sorted(B) == [2, 4] and sorted(C) == [2, 4]
     out = surgery_remove_C(c, 4)
     assert (out.A, out.D) == (F({1, 4}), F({1}))
+    with pytest.raises(ColumnError, match=r"^3 not in C = \[2, 4\]$"):
+        surgery_remove_C(c, 3)
 
 
 def test_surgery_golden_add_B_trivial_bottom():

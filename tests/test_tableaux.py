@@ -311,6 +311,15 @@ def test_quasistandard_predicates_check_their_alphabet(monkeypatch):
     assert is_quasistandard_sl(plain) is False
 
 
+def test_nqs_with_height_checks_its_alphabet():
+    # on plain letters it once answered False at s = 1, not a height, and
+    # raised "only symplectic tableaux have a double" at s = 2, a height
+    plain = Tableau.sl(4, ((1, 2),))
+    for s in (1, 2):
+        with pytest.raises(TableauError, match="^expects a symplectic tableau$"):
+            nqs_with_height(plain, s)
+
+
 def test_example4_pushable():
     t = Tableau.sp(4, [(1, 2, 3, 6), (1, 3, 6), (3, 6)])
     assert not is_quasistandard_sp(t)
@@ -364,6 +373,23 @@ def test_parse_flags_bad_columns():
         parse("1  x", 3, "sl")
 
 
+def test_parse_rejects_a_row_longer_than_the_row_above():
+    # the third row once lent its second cell to the second row: the text
+    # parsed to the columns of "1  1  1\n2  3\n3"
+    with pytest.raises(ParseError, match="^row 3 is longer than row 2$"):
+        parse("1  1  1\n2\n3  3\n", 4, "sl")
+    with pytest.raises(ParseError, match="^row 2 is longer than row 1$"):
+        parse("1\n2  3\n", 4, "sl")
+    assert parse("1  1  1\n2  3\n3\n", 4, "sl").columns == ((1, 2, 3), (1, 3), (1,))
+
+
+def test_is_semistandard_sl_and_dble_tableau_check_their_alphabet():
+    with pytest.raises(TableauError, match="^expects a plain-letter tableau$"):
+        is_semistandard_sl(T_RANK3)
+    with pytest.raises(TableauError, match="^only symplectic tableaux have a double$"):
+        dble_tableau(Tableau.sl(4, ((1, 2),)))
+
+
 def test_tableau_validation():
     with pytest.raises(TableauError):
         Tableau.sl(3, ((1, 2, 3),))  # height must stay below the rank
@@ -379,3 +405,9 @@ def test_tableau_validation():
                 build(n, ())
     with pytest.raises(ParseError):
         tableau_from_json({"n": -1, "kind": "sp", "columns": []})
+    with pytest.raises(TableauError, match="^unknown kind 'xx'$"):
+        Tableau(3, "xx", ())
+    with pytest.raises(TableauError, match="^column 2 is not a rank-3 symplectic column$"):
+        Tableau(3, "sp", (SymplecticColumn(3, F({1}), F()), SymplecticColumn(4, F({1}), F())))
+    with pytest.raises(TableauError, match="^column 1 contains the extended letter 0$"):
+        Tableau(3, "sp", (SymplecticColumn(3, F({0, 1}), F()),))

@@ -218,6 +218,19 @@ def test_a_star_off_its_column_traps_and_no_move_keeps_it(monkeypatch):
     assert all(not new or new != key[: len(new)] for key, new in taquin_sl._MOVES.items())
 
 
+def test_skew_state_preconditions():
+    with pytest.raises(TableauError, match="^negative inner height$"):
+        SlSkewColumn(-1, (1,))
+    with pytest.raises(TableauError, match=r"^star row 3 outside \(0, 2\]$"):
+        SlSkewColumn(0, (1,), 3)
+    with pytest.raises(TableauError, match="^more than one star$"):
+        skew(4, (0, (), 1), (0, (), 1))
+    with pytest.raises(TableauError, match="^no star to shed$"):
+        shed(skew(4, (0, (1,))))
+    with pytest.raises(TableauError, match="^star is not resting at an outer corner$"):
+        shed(skew(4, (0, (2,), 1)))
+
+
 def rest_tall_trimmed():
     return skew(4, (0, (1,), 1))
 

@@ -655,6 +655,11 @@ def test_step_table_equals_the_bare_rule(monkeypatch):
     assert len(taquin_sl._MOVES) == size
 
 
+def test_a_skew_state_has_one_rank():
+    with pytest.raises(TableauError, match="^column rank mismatch$"):
+        SpSkewTableau(3, (SpSkewColumn(4, 0, F({1}), F()),))
+
+
 def test_a_move_that_raises_is_not_stored(empty_memos):
     # the star at (2, 1) pulls the letter 2 across, which column 1 holds already
     state = skew(2, (0, F({2}), F(), 2), (0, F({1, 2}), F()))
@@ -672,3 +677,95 @@ def test_column_without_a_double_raises_on_every_grid_call():
             col.grid()
         with pytest.raises(InadmissibleColumnError):
             col.placed
+
+
+# ---------------------------------------------------------------------------
+# every trap of the reduction pass and the inverse, each fired by a fault
+
+# the engine's own move and plan, which the faults below wrap
+MOVE, PLAN = taquin_sl._move, taquin_sl._plan
+
+
+def zeroed(c):
+    """Column c, in its frame, holding the letters 0, 1, ... of its size."""
+    return SpSkewColumn(c.n, c.inner, F(range(c.size)), F(), c.star_row)
+
+
+def bar_swapped(c):
+    return SpSkewColumn(c.n, c.inner, c.D, c.A, c.star_row)
+
+
+def shed_changing(last, change):
+    """A shed that also applies `change` to the first column, or to the last."""
+
+    def faulty(state):
+        out = shed(state)
+        k = len(out.columns) if last else 1
+        return out._with(k, (change(out.columns[k - 1]),), None)
+
+    return faulty
+
+
+def downward(state, i, j):
+    """A move that takes the star down while it can, then rests."""
+    col = state.columns[j - 1]
+    return (col.reframed(col.inner, i + 1),) if col.height > i else ()
+
+
+def leaving_zero(state, i, j):
+    """The move, with the column the star leaves sideways refilled with 0, 1, ..."""
+    new = MOVE(state, i, j)
+    return (zeroed(new[0]),) + new[1:] if len(new) == 2 else new
+
+
+def star_lowered(lam, mu, hmax):
+    d, ((k, row, col), *rest) = PLAN(lam, mu, hmax)
+    return d, ((k, row + 1, col), *rest)
+
+
+def stars_swapped(lam, mu, hmax):
+    d, (a, b, c, *rest) = PLAN(lam, mu, hmax)
+    return d, (a, c, b, *rest)
+
+
+# a fault whose states are not semi-standard also turns the slide check off,
+# so that the trap under test is the one that fires
+UNCHECKED = {"is_semistandard_skew_sp": lambda state, cols=None: True}
+# by trap: the command that reaches it, its message and the faults patched
+# in; phi's first pass on the worked example is at row 3, and psi rebuilds
+# the example from q = [1, 3', 2', 1'] with five stars
+SLIDE_TRAPS = {
+    "straight-residual": (
+        "phi", "residual vacated or star cell beyond the first 1 columns", {"shed": lambda state: state}
+    ),
+    "straight-zero": ("phi", "extended letter 0 survived the slides", {"shed": shed_changing(True, zeroed)}),
+    "pass-row": ("phi", "star left row 3: path [(3, 1), (4, 1)]", {"_move": downward, **UNCHECKED}),
+    "pass-zero": (
+        "phi", "extended letter 0 appeared during a reduction pass", {"_move": leaving_zero, **UNCHECKED}
+    ),
+    "pass-first-column": (
+        "phi", "first column did not end trivial-with-2-vacated", {"shed": shed_changing(False, zeroed)}
+    ),
+    "inverse-corner": ("psi", "star 5 at (5,2) is not at an inner corner", {"_plan": star_lowered}),
+    "inverse-zero": ("psi", "extended letter 0 appeared during the inverse", {"_move": leaving_zero, **UNCHECKED}),
+    "inverse-exits": (
+        "psi", "star exit corners not monotone: [(4, 5), (3, 5), (4, 4), (3, 4), (2, 5)]", {"_plan": stars_swapped}
+    ),
+    "inverse-bottom": (
+        "psi", "column 1 is not a trivial bottom", {"shed": shed_changing(True, bar_swapped), **UNCHECKED}
+    ),
+}
+
+
+@pytest.mark.parametrize("command, message, faults", SLIDE_TRAPS.values(), ids=SLIDE_TRAPS)
+def test_every_slide_trap_fires(monkeypatch, tmp_path, capsys, command, message, faults):
+    for name, fault in faults.items():
+        monkeypatch.setattr(taquin_sp if name in UNCHECKED else taquin_sl, name, fault)
+    q = Tableau.sp(4, [(1, 6, 7, 8)])  # phi(T_EX4) is ((4,), q)
+    t, args = (T_EX4, []) if command == "phi" else (q, ["--target-shape", "4,3,2"])
+    with pytest.raises(TaquinInvariantError, match=f"^{re.escape(message)}$"):
+        phi(T_EX4) if command == "phi" else psi(T_EX4.shape, q.shape, q)
+    path = tmp_path / "t.json"
+    path.write_text(dumps(tableau_to_json(t)))
+    assert main([command, "--n", "4", "--file", str(path), *args]) == 3
+    assert capsys.readouterr().err == f"invariant violation: {message}\n"
