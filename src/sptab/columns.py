@@ -18,9 +18,9 @@ Recovery is the doubling's search, read in the mirror x -> n+1-x that maps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import ColumnError, GBoundaryError, InadmissibleColumnError
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
 def _check_subsets(A: frozenset[int], D: frozenset[int], lo: int, hi: int) -> None:
     for name, S in (("A", A), ("D", D)):
         for x in S:
-            if not lo <= x <= hi:
-                raise ColumnError(f"{name} contains {x}, outside [{lo}, {hi}]")
+            if type(x) is not int or not lo <= x <= hi:
+                raise ColumnError(f"{name} contains {x!r}, outside [{lo}, {hi}]")
 
 
 def _codes(n: int, A, D) -> tuple[int, ...]:
@@ -50,26 +50,31 @@ def _codes(n: int, A, D) -> tuple[int, ...]:
     return tuple(sorted(A) + sorted(bar - d for d in D))
 
 
-@dataclass(frozen=True)
-class SymplecticColumn:
+class SymplecticColumn(Record):
     """Column content (A, D) for rank n, its field hash stored; magnitude 0 only inside slides."""
 
-    n: int
-    A: frozenset[int]
-    D: frozenset[int]
+    _fields = ("n", "A", "D")
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ColumnError(f"rank must be positive, got {self.n}")
-        object.__setattr__(self, "A", frozenset(self.A))
-        object.__setattr__(self, "D", frozenset(self.D))
-        _check_subsets(self.A, self.D, 0, self.n)
-        if self.height > self.n + 1:
-            raise ColumnError(f"column holds {self.height} letters, rank is {self.n}")
-        object.__setattr__(self, "_hash", hash((self.n, self.A, self.D)))
+        n = self.n
+        if n < 1:
+            raise ColumnError(f"rank must be positive, got {n}")
+        A, D = frozenset(self.A), frozenset(self.D)
+        _check_subsets(A, D, 0, n)
+        if len(A) + len(D) > n + 1:
+            raise ColumnError(f"column holds {len(A) + len(D)} letters, rank is {n}")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "D", D)
+        object.__setattr__(self, "_hash", hash((n, A, D)))
 
     def __hash__(self) -> int:
         return self._hash
+
+    # by hand, as the memos meet distinct equal columns tens of thousands of times a sweep
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not SymplecticColumn:
+            return NotImplemented
+        return self.A == other.A and self.D == other.D and self.n == other.n
 
     @property
     def height(self) -> int:
@@ -106,20 +111,11 @@ def _smallest_dominating(I: list[int], pool: list[int]) -> list[int] | None:
     return out
 
 
-@dataclass(frozen=True)
-class DoubledColumn:
+class DoubledColumn(Record):
     """The double of (A, D): the witness sets, and the left column A over C'
     and the right column B over D' as letter codes."""
 
-    n: int
-    A: frozenset[int]
-    D: frozenset[int]
-    I: frozenset[int]
-    J: frozenset[int]
-    B: frozenset[int]
-    C: frozenset[int]
-    left: tuple[int, ...]
-    right: tuple[int, ...]
+    _fields = ("n", "A", "D", "I", "J", "B", "C", "left", "right")
 
     def left_codes(self) -> tuple[int, ...]:
         """The column A over C', top-down."""

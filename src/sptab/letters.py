@@ -12,8 +12,7 @@ tableaux never contain it; containers enforce that separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import LetterError
 
 __all__ = [
@@ -28,10 +27,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Letter:
-    magnitude: int
-    barred: bool = False
+class Letter(Record):
+    _fields = ("magnitude", "barred")
+    barred = False
 
     def __post_init__(self) -> None:
         if self.magnitude < 0:

@@ -24,11 +24,11 @@ kills, a fold that stops once no row is left, as `nqs_rows` on a grid.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Sequence
 
+from ._record import Record
 from .columns import SymplecticColumn, _double as _column_double, dble
 from .errors import ParseError, ShapeError, TableauError
 from .letters import (
@@ -90,10 +90,19 @@ def check_rank(n: int) -> None:
         raise TableauError(f"rank must be positive, got {n}")
 
 
+# the alphabet of each kind of tableau
+_ALPHABET = {"sl": "plain-letter", "sp": "symplectic"}
+
+
+def _known_kind(kind: str, error: type[Exception] = TableauError) -> None:
+    if kind not in ("sl", "sp"):
+        raise error(f"unknown kind {kind!r}")
+
+
 def check_kind(t: Tableau, kind: str) -> None:
     """The tableau is of the alphabet `kind`: "sp" symplectic, "sl" plain letters."""
     if t.kind != kind:
-        raise TableauError(f"expects a {'symplectic' if kind == 'sp' else 'plain-letter'} tableau")
+        raise TableauError(f"expects a {_ALPHABET[kind]} tableau")
 
 
 def shape_to_multiplicities(heights: tuple[int, ...], hmax: int) -> tuple[int, ...]:
@@ -173,8 +182,7 @@ class _memo:
         return value
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A straight-shape tableau: plain letter columns (sl) or symplectic columns (sp).
 
     Construction validates the shape and letter ranges only; semistandardness
@@ -190,28 +198,31 @@ class Tableau:
     star and zero cells.
     """
 
-    n: int
-    kind: str
-    columns: tuple
+    _fields = ("n", "kind", "columns")
 
     def __post_init__(self) -> None:
-        check_rank(self.n)
-        if self.kind not in ("sl", "sp"):
-            raise TableauError(f"unknown kind {self.kind!r}")
+        n, kind, cols = self.n, self.kind, tuple(self.columns)
+        check_rank(n)
+        _known_kind(kind)
+        # each column's type first, as the heights read it
+        for j, col in enumerate(cols):
+            if not isinstance(col, (tuple, list) if kind == "sl" else SymplecticColumn):
+                raise TableauError(f"column {j + 1} is not a rank-{n} {_ALPHABET[kind]} column")
         # plain columns are tuples, so a verdict can be memoised per pair
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns) if self.kind == "sl" else self.columns))
+        cols = tuple(map(tuple, cols)) if kind == "sl" else cols
+        object.__setattr__(self, "columns", cols)
         try:
             check_shape(self.heights, self.hmax)
         except ShapeError as exc:
             raise TableauError(str(exc)) from exc
-        if self.kind == "sl":
-            for j, col in enumerate(self.columns):
-                if any(not 1 <= t <= self.n for t in col):
-                    raise TableauError(f"column {j + 1} has entries outside [1, {self.n}]")
+        if kind == "sl":
+            for j, col in enumerate(cols):
+                if any(type(t) is not int or not 1 <= t <= n for t in col):
+                    raise TableauError(f"column {j + 1} has entries outside [1, {n}]")
         else:
-            for j, col in enumerate(self.columns):
-                if not isinstance(col, SymplecticColumn) or col.n != self.n:
-                    raise TableauError(f"column {j + 1} is not a rank-{self.n} symplectic column")
+            for j, col in enumerate(cols):
+                if col.n != n:
+                    raise TableauError(f"column {j + 1} is not a rank-{n} symplectic column")
                 if not col.is_standard():
                     raise TableauError(f"column {j + 1} contains the extended letter 0")
 
@@ -238,7 +249,7 @@ class Tableau:
             A, D = set(), set()
             prev = 0
             for cd in c:
-                if not prev < cd <= 2 * n:
+                if type(cd) is not int or not prev < cd <= 2 * n:
                     raise TableauError(
                         f"column {j + 1}: codes must be strictly increasing within [1, {2 * n}]"
                     )
@@ -470,6 +481,7 @@ def render(t: Tableau) -> str:
 
 def parse(text: str, n: int, kind: str) -> Tableau:
     """Invert render: fixed-width cells, rows top-down."""
+    _known_kind(kind, ParseError)
     rows: list[list[Letter]] = []
     for line in text.splitlines():
         if not line.strip():
@@ -523,8 +535,7 @@ def tableau_from_json(data: object) -> Tableau:
         raise ParseError(f"tableau JSON missing fields: {exc}") from exc
     if not _is_int(n):
         raise ParseError(f"tableau rank must be an integer, got {n!r}")
-    if kind not in ("sl", "sp"):
-        raise ParseError(f"unknown kind {kind!r}")
+    _known_kind(kind, ParseError)
     if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
         raise ParseError("tableau JSON columns must be a list of lists")
     cols = []

@@ -55,9 +55,9 @@ rules (`_nqs_rows`, `_semistandard`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 
+from ._record import Record
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
 from .tableaux import Tableau, _memo, check_kind, first_grid_violation, skew_cells, weight_leq
@@ -91,7 +91,7 @@ def _interned(cls, *fields):
     return _COLUMNS.get(fields) or _COLUMNS.setdefault(fields, cls(*fields))
 
 
-class _SkewColumn:
+class _SkewColumn(Record):
     """`inner` vacated cells on top, then the `size` filled cells in row
     order with the star cell (at `star_row`, if any) among them.  The
     height and the hash of the fields are stored when the frame is checked."""
@@ -105,7 +105,7 @@ class _SkewColumn:
         if self.star_row is not None and not self.inner < self.star_row <= height:
             raise TableauError(f"star row {self.star_row} outside ({self.inner}, {height}]")
         object.__setattr__(self, "height", height)
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        object.__setattr__(self, "_hash", hash(self._key(self)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -136,13 +136,11 @@ class _SkewColumn:
         return self._reversed(H - self.height, star, n)
 
 
-@dataclass(frozen=True)
-class _SkewTableau:
+class _SkewTableau(Record):
     """Columns whose outer and inner heights weakly decrease, with at most
     one star; `star` is its (row, col), 1-based, or None."""
 
-    n: int
-    columns: tuple
+    _fields = ("n", "columns")
 
     def __post_init__(self) -> None:
         self._check_frame()
@@ -433,14 +431,11 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
 # the classical model
 
 
-@dataclass(frozen=True)
 class SlSkewColumn(_SkewColumn):
     """inner vacated cells on top, then letters in row order, star optional."""
 
-    inner: int
-    letters: tuple[int, ...]
-    star_row: int | None = None
-    __hash__ = _SkewColumn.__hash__  # the stored field hash
+    _fields = ("inner", "letters", "star_row")
+    star_row = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "letters", tuple(self.letters))

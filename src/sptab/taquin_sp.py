@@ -18,8 +18,6 @@ a hard invariant violation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .columns import (
     SymplecticColumn,
     dble,
@@ -60,7 +58,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SpSkewColumn(_SkewColumn):
     """Vacated prefix, column content (A, D), and an optional star cell.
 
@@ -68,12 +65,8 @@ class SpSkewColumn(_SkewColumn):
     rules; the grid is the memoised double: A over C' and B over D'.
     """
 
-    n: int
-    inner: int
-    A: frozenset[int]
-    D: frozenset[int]
-    star_row: int | None = None
-    __hash__ = _SkewColumn.__hash__  # the stored field hash
+    _fields = ("n", "inner", "A", "D", "star_row")
+    star_row = None
 
     def __post_init__(self) -> None:
         content = SymplecticColumn(self.n, self.A, self.D)

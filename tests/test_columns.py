@@ -356,3 +356,13 @@ def test_column_validation():
         SymplecticColumn(3, F({5}), F())
     with pytest.raises(ColumnError):
         SymplecticColumn(2, F({1, 2}), F({1, 2}))  # five letters cannot fit
+
+
+def test_column_letters_are_integers():
+    # a float letter was accepted and a string one raised a bare TypeError
+    with pytest.raises(ColumnError, match=r"^A contains 1\.5, outside \[0, 3\]$"):
+        SymplecticColumn(3, {1.5}, set())
+    with pytest.raises(ColumnError, match=r"^D contains 'a', outside \[0, 3\]$"):
+        SymplecticColumn(3, {1}, {"a"})
+    with pytest.raises(ColumnError, match=r" contains True, outside \[0, 3\]$"):
+        g_from({True}, set(), 3)

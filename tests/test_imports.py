@@ -75,7 +75,12 @@ def fresh(code, *args, stdin=""):
     return json.loads(r.stdout)
 
 
-LOADED = 'sorted(m[6:] for m in sys.modules if m.startswith("sptab.")), "fractions" in sys.modules'
+# standard-library modules that take a cold start several milliseconds each
+HEAVY = ("dataclasses", "inspect")
+LOADED = (
+    'sorted(m[6:] for m in sys.modules if m.startswith("sptab.")), "fractions" in sys.modules, '
+    f"[m for m in {HEAVY!r} if m in sys.modules]"
+)
 
 # runs the CLI as `python -m sptab.cli` would, with its stdout set aside
 PROBE = f"""
@@ -107,11 +112,19 @@ COMMANDS = [
 ]
 
 
-def test_import_sptab_loads_no_layer():
-    modules, fractions = fresh(f"import json, sys, sptab; print(json.dumps([{LOADED}]))")
-    assert modules == [] and not fractions
+@pytest.fixture(scope="module")
+def preloaded():
+    """Those of HEAVY that a bare interpreter (`python -c pass`, with site) holds."""
+    code = f"import sys; print(*(m for m in {HEAVY!r} if m in sys.modules))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return set(r.stdout.split())
+
+
+def test_import_sptab_loads_no_layer(preloaded):
+    modules, fractions, heavy = fresh(f"import json, sys, sptab; print(json.dumps([{LOADED}]))")
+    assert modules == [] and not fractions and set(heavy) <= preloaded
     # a submodule attribute still resolves, and imports only what it needs
-    modules, _ = fresh(f"import json, sys, sptab; sptab.taquin_sp.phi; print(json.dumps([{LOADED}]))")
+    modules, _, _ = fresh(f"import json, sys, sptab; sptab.taquin_sp.phi; print(json.dumps([{LOADED}]))")
     assert "taquin_sp" in modules and "enumeration" not in modules
 
 
@@ -120,8 +133,10 @@ def test_import_sptab_loads_no_layer():
     COMMANDS,
     ids=["double", "check", "check-admissible", "phi", "psi", "sjdt", "enum", "verify-dims"],
 )
-def test_each_command_loads_only_its_layers(argv, stdin, needed, unused):
-    code, modules, fractions = fresh(PROBE, *argv, stdin=stdin)
+def test_each_command_loads_only_its_layers(argv, stdin, needed, unused, preloaded):
+    code, modules, fractions, heavy = fresh(PROBE, *argv, stdin=stdin)
     assert code == 0
     assert needed in modules and not unused & set(modules), modules
     assert not fractions
+    # the value classes are records of their own: no command loads dataclasses or inspect
+    assert set(heavy) <= preloaded, heavy

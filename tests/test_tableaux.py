@@ -373,6 +373,33 @@ def test_parse_flags_bad_columns():
         parse("1  x", 3, "sl")
 
 
+def test_parse_rejects_an_unknown_kind():
+    # it built a symplectic tableau, as tableau_from_json rejects the same kind
+    with pytest.raises(ParseError, match="^unknown kind 'xx'$"):
+        parse("1", 3, "xx")
+    with pytest.raises(ParseError, match="^unknown kind 'xx'$"):
+        tableau_from_json({"n": 3, "kind": "xx", "columns": [[1]]})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # the heights were read first: an AttributeError
+        (lambda: Tableau(3, "sp", ((1,),)), "column 1 is not a rank-3 symplectic column"),
+        (lambda: Tableau(3, "sp", (5,)), "column 1 is not a rank-3 symplectic column"),
+        (lambda: Tableau.sl(3, [5]), "column 1 is not a rank-3 plain-letter column"),
+        # a bare TypeError, then an accepted float
+        (lambda: Tableau.sl(3, [[1, "a"]]), r"column 1 has entries outside \[1, 3\]"),
+        (lambda: Tableau.sl(3, [[1], [1.5]]), r"column 2 has entries outside \[1, 3\]"),
+        (lambda: Tableau.sp(3, [[1, "a"]]), r"column 1: codes must be strictly increasing within \[1, 6\]"),
+    ],
+    ids=["sp-tuple", "sp-int", "sl-int", "sl-str", "sl-float", "sp-codes-str"],
+)
+def test_malformed_columns_raise_tableau_errors(build, message):
+    with pytest.raises(TableauError, match=f"^{message}$"):
+        build()
+
+
 def test_parse_rejects_a_row_longer_than_the_row_above():
     # the third row once lent its second cell to the second row: the text
     # parsed to the columns of "1  1  1\n2  3\n3"

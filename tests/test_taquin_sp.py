@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -648,8 +647,13 @@ def test_step_table_equals_the_bare_rule(monkeypatch):
     assert 0 < size < len(states)
     # the same states again, of columns built by the public constructors:
     # equal columns hash alike, so the table answers every move
+    def rebuilt(c):
+        if isinstance(c, SlSkewColumn):
+            return SlSkewColumn(c.inner, c.letters, c.star_row)
+        return SpSkewColumn(c.n, c.inner, c.A, c.D, c.star_row)
+
     for state in states:
-        copy = type(state)(state.n, tuple(dataclasses.replace(c) for c in state.columns))
+        copy = type(state)(state.n, tuple(map(rebuilt, state.columns)))
         assert all(a is not b for a, b in zip(copy.columns, state.columns))
         assert taquin_sl._step(copy) == bare_step(state)
     assert len(taquin_sl._MOVES) == size
