@@ -8,11 +8,20 @@ names each field, and setting or deleting an attribute raises.  Written
 out here, these cost a cold start far less than the standard library's
 generated records, whose import loads `inspect` and compiles code per class.
 
-Fields are stored by `object.__setattr__`, not through `__dict__`: on
+Fields, and every fact a class stores beside them or memoises later, are
+written by `object.__setattr__` (`_set`), never through `__dict__`: on
 CPython 3.11 an instance whose `__dict__` was once read is slower at every
-later field read.  The facts a class memoises still go to that dict.
+later field read.  Pickling or copying a record rebuilds it through its
+constructor.
+
+The columns the memos key on are `Identified`: each is given, when built, a
+dense id drawn from one process-wide counter, the same for equal columns
+(one table per class, by fields), so a memo keyed by ids hashes and
+compares integers and runs no Python code.  Ids are process-local: none is
+pickled, and a table is never emptied, so equal columns always share one.
 """
 
+from itertools import count
 from operator import attrgetter
 
 _set = object.__setattr__
@@ -50,8 +59,38 @@ class Record:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f) for f in self._fields)
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+_next_id = count().__next__
+
+
+class Identified(Record):
+    """A record with a dense id, the same for equal records of its class."""
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        if "_fields" in cls.__dict__:
+            cls._ids = {}
+
+    def _identify(self, fields: tuple) -> None:
+        """Store the id of the (normalised) fields.  Two threads that miss at
+        once draw two numbers, and the table keeps the first stored: one
+        counter, so no two columns ever share an id."""
+        ids = self._ids
+        found = ids.get(fields)
+        _set(self, "_id", ids.setdefault(fields, _next_id()) if found is None else found)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._id == other._id
+
+    __hash__ = Record.__hash__

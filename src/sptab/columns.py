@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
+from ._record import Identified, Record, _set
 from .errors import ColumnError, GBoundaryError, InadmissibleColumnError
 
 __all__ = [
@@ -37,8 +37,9 @@ __all__ = [
 ]
 
 
-def _check_subsets(A: frozenset[int], D: frozenset[int], lo: int, hi: int) -> None:
-    for name, S in (("A", A), ("D", D)):
+def _check_subsets(lo: int, hi: int, **sets: frozenset[int]) -> None:
+    """Each set, named as its caller names it, holds integers in [lo, hi]."""
+    for name, S in sets.items():
         for x in S:
             if type(x) is not int or not lo <= x <= hi:
                 raise ColumnError(f"{name} contains {x!r}, outside [{lo}, {hi}]")
@@ -50,8 +51,9 @@ def _codes(n: int, A, D) -> tuple[int, ...]:
     return tuple(sorted(A) + sorted(bar - d for d in D))
 
 
-class SymplecticColumn(Record):
-    """Column content (A, D) for rank n, its field hash stored; magnitude 0 only inside slides."""
+class SymplecticColumn(Identified):
+    """Column content (A, D) for rank n, with its height and id stored when
+    built; magnitude 0 only inside slides."""
 
     _fields = ("n", "A", "D")
 
@@ -60,25 +62,14 @@ class SymplecticColumn(Record):
         if n < 1:
             raise ColumnError(f"rank must be positive, got {n}")
         A, D = frozenset(self.A), frozenset(self.D)
-        _check_subsets(A, D, 0, n)
-        if len(A) + len(D) > n + 1:
-            raise ColumnError(f"column holds {len(A) + len(D)} letters, rank is {n}")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "_hash", hash((n, A, D)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    # by hand, as the memos meet distinct equal columns tens of thousands of times a sweep
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not SymplecticColumn:
-            return NotImplemented
-        return self.A == other.A and self.D == other.D and self.n == other.n
-
-    @property
-    def height(self) -> int:
-        return len(self.A) + len(self.D)
+        _check_subsets(0, n, A=A, D=D)
+        height = len(A) + len(D)
+        if height > n + 1:
+            raise ColumnError(f"column holds {height} letters, rank is {n}")
+        _set(self, "A", A)
+        _set(self, "D", D)
+        _set(self, "height", height)
+        self._identify((n, A, D))
 
     def is_standard(self) -> bool:
         """True when no extended letter 0 appears and the height fits the rank."""
@@ -126,6 +117,13 @@ class DoubledColumn(Record):
         return self.right
 
 
+def _witness(n: int, A, D) -> tuple[list[int], list[int] | None]:
+    """I = A cap D, sorted, and its witness set J, None when the column (A, D)
+    is inadmissible; A and D are any collections of letters in [1, n]."""
+    I = sorted(x for x in A if x in D)
+    return I, _smallest_dominating(I, [x for x in range(1, n + 1) if x not in A and x not in D])
+
+
 @lru_cache(maxsize=None)
 def _double(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn | None:
     """The double of the column (A, D) at rank n, or None when inadmissible.
@@ -135,8 +133,7 @@ def _double(n: int, A: frozenset[int], D: frozenset[int]) -> DoubledColumn | Non
     (A, C) and (B, D) columns need no check of their own: |C| = |D| and
     J lies in [1, n], so they obey the rules (A, D) was built under.
     """
-    I = sorted(A & D)
-    J = _smallest_dominating(I, [x for x in range(1, n + 1) if x not in A and x not in D])
+    I, J = _witness(n, A, D)
     if J is None:
         return None
     I, J = frozenset(I), frozenset(J)
@@ -174,7 +171,7 @@ def g_from(B, C, n: int) -> SymplecticColumn:
     boundary never reached by the reduction pipelines).
     """
     B, C = frozenset(B), frozenset(C)
-    _check_subsets(B, C, 0, n)
+    _check_subsets(0, n, B=B, C=C)
     J = B & C
     pool = [n + 1 - x for x in range(n, -1, -1) if x not in B and x not in C]
     I = _smallest_dominating(sorted(n + 1 - j for j in J), pool)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 
-from .columns import SymplecticColumn, is_admissible
+from .columns import SymplecticColumn, _witness
 from .errors import ShapeError
 from .tableaux import (
     Tableau,
@@ -45,7 +45,8 @@ __all__ = [
 
 @lru_cache(maxsize=None)
 def enum_admissible_columns(n: int, k: int) -> tuple[SymplecticColumn, ...]:
-    """All admissible columns of height k, sorted by visible letter codes."""
+    """All admissible columns of height k, sorted by visible letter codes;
+    the witness search runs on each candidate before any column is built."""
     if not 1 <= k <= n:
         raise ShapeError(f"height {k} outside [1, {n}]")
     out = []
@@ -53,9 +54,8 @@ def enum_admissible_columns(n: int, k: int) -> tuple[SymplecticColumn, ...]:
     for a in range(k + 1):
         for A in combinations(universe, a):
             for D in combinations(universe, k - a):
-                col = SymplecticColumn(n, frozenset(A), frozenset(D))
-                if is_admissible(col):
-                    out.append(col)
+                if _witness(n, A, D)[1] is not None:
+                    out.append(SymplecticColumn(n, frozenset(A), frozenset(D)))
     return tuple(sorted(out, key=lambda c: c.codes()))
 
 
@@ -172,7 +172,7 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     in it when mu is below lambda and q is a semi-standard, quasi-standard
     tableau of shape mu, verdicts each tableau works out once for phi, psi
     and the count; those not reached are the counts' sum less the distinct
-    images in the union.
+    images in the union, each keyed by mu and the ids of q's columns.
     """
     from .taquin_sp import phi, psi  # enum and dims never load the slide engine
 
@@ -185,13 +185,13 @@ def verify_bijection(n: int, heights: tuple[int, ...]) -> dict:
     }
 
     round_trip_failures = []
-    images: dict[tuple[tuple[int, ...], tuple], bool] = {}
+    images: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
     problems = []
     for t in ss:
         mu, q = phi(t)
         ok = mu in below and q.shape == mu and is_semistandard_sp(q) and is_quasistandard_sp(q)
         seen = len(images)
-        images[mu, q.columns] = ok
+        images[mu, tuple([c._id for c in q.columns])] = ok
         if len(images) == seen:
             problems.append(f"phi not injective: {(mu, q.columns)} hit twice")
         if not ok:

@@ -15,7 +15,9 @@ Each rule about a straight tableau is here once, for every layer to read.
 Both verdicts are facts about columns (`_column`: sound, trivial top, the
 rows its double kills) and neighbouring pairs (`_pair`: compatible, the rows
 the cross inequality kills), each memoised once per process, a kill set a
-bitmask found by one rule (`_kills`).  A tableau is semi-standard when every
+bitmask found by one rule (`_kills`).  The memos key a symplectic column by
+its id and a plain one by its tuple of letters, so no lookup runs Python
+code to hash or compare.  A tableau is semi-standard when every
 column is sound and every pair compatible; its non-quasi-standard rows are
 the heights up to its first column's trivial top that no column or pair
 kills, a fold that stops once no row is left, as `nqs_rows` on a grid.
@@ -27,8 +29,9 @@ import json
 from collections.abc import Iterator, Sequence
 from functools import lru_cache
 from itertools import product
+from operator import attrgetter
 
-from ._record import Record
+from ._record import Record, _set
 from .columns import SymplecticColumn, _double as _column_double, dble
 from .errors import ParseError, ShapeError, TableauError
 from .letters import (
@@ -69,6 +72,8 @@ __all__ = [
 ]
 
 Grid = tuple[tuple[int, ...], ...]
+
+_height = attrgetter("height")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +175,8 @@ def skew_cells(lam: tuple[int, ...], mu: tuple[int, ...]) -> list[tuple[int, int
 
 class _memo:
     """`functools.cached_property` without the lock it takes on every first
-    read before Python 3.12: the value shadows it in the instance's dict."""
+    read before Python 3.12: the value, stored by `object.__setattr__` (so
+    the instance keeps CPython's fast attribute path), shadows it."""
 
     def __init__(self, fn) -> None:
         self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
@@ -178,7 +184,8 @@ class _memo:
     def __get__(self, obj, cls=None):
         if obj is None:
             return self
-        value = obj.__dict__[self.name] = self.fn(obj)
+        value = self.fn(obj)
+        _set(obj, self.name, value)
         return value
 
 
@@ -231,7 +238,11 @@ class Tableau(Record):
         """Built from parts that passed every check, plain columns as tuples;
         `verdicts` are memoised properties already known."""
         t = object.__new__(cls)
-        t.__dict__.update(verdicts, n=n, kind=kind, columns=columns)
+        _set(t, "n", n)
+        _set(t, "kind", kind)
+        _set(t, "columns", columns)
+        for name, value in verdicts.items():
+            _set(t, name, value)
         return t
 
     @staticmethod
@@ -263,9 +274,7 @@ class Tableau(Record):
 
     @_memo
     def heights(self) -> tuple[int, ...]:
-        if self.kind == "sl":
-            return tuple(len(c) for c in self.columns)
-        return tuple(c.height for c in self.columns)
+        return tuple(map(len if self.kind == "sl" else _height, self.columns))
 
     @property
     def hmax(self) -> int:
@@ -319,7 +328,8 @@ class Tableau(Record):
         return rows
 
 
-# the facts of each column, and of each pair of neighbouring columns
+# the facts of each column, and of each pair of neighbouring columns: a
+# symplectic column keyed by its id, a plain one by its letters
 _COLUMNS: dict = {}
 _PAIRS: dict = {}
 
@@ -327,14 +337,15 @@ _PAIRS: dict = {}
 def _column(c) -> tuple[bool, int, int]:
     """(sound, length of the trivial top, rows killed inside its double) of a
     letter column (killing none) or a symplectic one; (False, 0, 0) if inadmissible."""
-    facts = _COLUMNS.get(c)
+    plain = type(c) is tuple
+    facts = _COLUMNS.get(c if plain else c._id)
     if facts is None:
-        if isinstance(c, SymplecticColumn):
+        if plain:
+            facts = _COLUMNS[c] = (all(a < b for a, b in zip(c, c[1:])), _top(c), 0)
+        else:
             d = _column_double(c.n, c.A, c.D)
             facts = (False, 0, 0) if d is None else (True, _top(d.left), _kills(d.left, d.right))
-        else:
-            facts = (all(a < b for a, b in zip(c, c[1:])), _top(c), 0)
-        _COLUMNS[c] = facts
+            _COLUMNS[c._id] = facts
     return facts
 
 
@@ -342,11 +353,13 @@ def _pair(a, b) -> tuple[bool, int]:
     """Whether the right half of column a's grid (its letters, or its double's
     right column) is at most b's left half row by row, and the rows the cross
     inequality between those halves kills; a symplectic column is admissible."""
-    facts = _PAIRS.get((a, b))
+    plain = type(a) is tuple
+    key = (a, b) if plain else (a._id, b._id)
+    facts = _PAIRS.get(key)
     if facts is None:
-        right = _column_double(a.n, a.A, a.D).right if isinstance(a, SymplecticColumn) else a
-        left = _column_double(b.n, b.A, b.D).left if isinstance(b, SymplecticColumn) else b
-        facts = _PAIRS[a, b] = (all(x <= y for x, y in zip(right, left)), _kills(right, left))
+        right = a if plain else _column_double(a.n, a.A, a.D).right
+        left = b if plain else _column_double(b.n, b.A, b.D).left
+        facts = _PAIRS[key] = (all(x <= y for x, y in zip(right, left)), _kills(right, left))
     return facts
 
 

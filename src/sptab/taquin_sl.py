@@ -25,8 +25,13 @@ column j+1.  A vertical move reframes column j around the same letters; a
 horizontal move puts in the two columns the model's move returns.  Columns
 come from one intern table keyed by the model's letters and the frame
 (inner, star_row), so each distinct column is built, checked and hashed
-once per process, and lays out its grid by row (`placed`) once, at first
-read.  The step table `_MOVES` holds the new columns of each move by its
+once per process.  A column stores its size, height and whether it holds
+the letter 0 when built, and gets an id, the same for every equal column
+(`_record.Identified`); it lays out its grid by row (`placed`) at first
+read, and its 180-degree turn in a rectangle is memoised by its id
+(`_TURNS`), as the trivial columns are by their frame.  The tables below
+key columns by their ids, so no lookup runs Python code to hash or
+compare.  The step table `_MOVES` holds the new columns of each move by its
 pair (column j, column j+1), so a move is worked out once per distinct
 pair; a move that raises is not stored.  The public constructor is the
 one place that checks a frame (outer and inner heights weakly decreasing,
@@ -45,7 +50,8 @@ in its range.
 
 The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
 the trivial columns it prepends and the star cells in the turned frame.  Its
-start state is the straight one, rotated.
+start state is the straight one, rotated.  Each of its stars slides along
+its row, as each pass's star does; a star that leaves it is a trap.
 
 One pass loop (`_passes`) serves reduce_sl and phi and checks its input
 semi-standard.  The alphabet check (`check_kind`), the rows a pass may push
@@ -57,7 +63,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from ._record import Record
+from ._record import Identified, Record, _set
 from .errors import ShapeError, TableauError, TaquinInvariantError
 from .letters import sigma_letter_sl
 from .tableaux import Tableau, _memo, check_kind, first_grid_violation, skew_cells, weight_leq
@@ -81,34 +87,34 @@ __all__ = [
 
 # engine columns by their fields (letters, inner, star_row); a miss runs every check
 _COLUMNS: dict = {}
-# the step table: by (column j, column j+1 if any), the columns a move of the
-# star in column j puts in their place, () when it rests; each pair's verdict
+# the step table: by the ids of (column j, column j+1, None if none), the
+# columns a move of the star in column j puts in their place, () when it
+# rests; by the ids of a pair, its verdict; by (id, H, n), a column's turn
 _MOVES: dict = {}
 _PAIRS: dict = {}
+_TURNS: dict = {}
 
 
 def _interned(cls, *fields):
     return _COLUMNS.get(fields) or _COLUMNS.setdefault(fields, cls(*fields))
 
 
-class _SkewColumn(Record):
+class _SkewColumn(Identified):
     """`inner` vacated cells on top, then the `size` filled cells in row
-    order with the star cell (at `star_row`, if any) among them.  The
-    height and the hash of the fields are stored when the frame is checked."""
+    order with the star cell (at `star_row`, if any) among them.  The size,
+    the height and the id are stored when the frame is checked."""
 
     has_zero = False
 
-    def _check_frame(self) -> None:
+    def _check_frame(self, size: int) -> None:
         if self.inner < 0:
             raise TableauError("negative inner height")
-        height = self.inner + self.size + (self.star_row is not None)
+        height = self.inner + size + (self.star_row is not None)
         if self.star_row is not None and not self.inner < self.star_row <= height:
             raise TableauError(f"star row {self.star_row} outside ({self.inner}, {height}]")
-        object.__setattr__(self, "height", height)
-        object.__setattr__(self, "_hash", hash(self._key(self)))
-
-    def __hash__(self) -> int:
-        return self._hash
+        _set(self, "size", size)
+        _set(self, "height", height)
+        self._identify(self._key(self))
 
     def rows(self, codes: tuple[int, ...]) -> list[int | None]:
         """Codes of the filled cells placed by row (index 0 = row 1), None
@@ -132,8 +138,12 @@ class _SkewColumn(Record):
 
     def turned(self, H: int, n: int):
         """The column turned upside down in a rectangle of height H."""
-        star = None if self.star_row is None else H + 1 - self.star_row
-        return self._reversed(H - self.height, star, n)
+        key = (self._id, H, n)
+        col = _TURNS.get(key)
+        if col is None:
+            star = None if self.star_row is None else H + 1 - self.star_row
+            col = _TURNS[key] = self._reversed(H - self.height, star, n)
+        return col
 
 
 class _SkewTableau(Record):
@@ -155,13 +165,15 @@ class _SkewTableau(Record):
         stars = [(c.star_row, k) for k, c in enumerate(cols, 1) if c.star_row is not None]
         if len(stars) > 1:
             raise TableauError("more than one star")
-        self.__dict__["star"] = stars[0] if stars else None
+        _set(self, "star", stars[0] if stars else None)
 
     @classmethod
     def _unchecked(cls, n: int, columns: tuple, star: tuple[int, int] | None):
         """The state of these columns, the star at `star`; the caller keeps the frame valid."""
         state = object.__new__(cls)
-        state.__dict__.update(n=n, columns=columns, star=star)
+        _set(state, "n", n)
+        _set(state, "columns", columns)
+        _set(state, "star", star)
         return state
 
     def _with(self, col: int, new: tuple, star: tuple[int, int] | None):
@@ -187,7 +199,7 @@ class _SkewTableau(Record):
         column model reverses the letters.  A valid frame turns valid."""
         if not self.columns:
             return self
-        H, W, star = self.heights[0], len(self.columns), self.star
+        H, W, star = self.columns[0].height, len(self.columns), self.star
         cols = tuple(c.turned(H, self.n) for c in reversed(self.columns))
         return self._unchecked(self.n, cols, None if star is None else (H + 1 - star[0], W + 1 - star[1]))
 
@@ -200,11 +212,11 @@ def _is_semistandard_skew(state: _SkewTableau, cols: range | None = None) -> boo
     columns = state.columns if cols is None else state.columns[max(cols.start, 1) - 1 : cols.stop - 1]
     if len(columns) == 1:
         return first_grid_violation(columns[0].placed) is None
-    for pair in zip(columns, columns[1:]):
-        ok = _PAIRS.get(pair)
+    for p, c in zip(columns, columns[1:]):
+        key = (p._id, c._id)
+        ok = _PAIRS.get(key)
         if ok is None:
-            p, c = pair
-            ok = _PAIRS.setdefault(pair, first_grid_violation(p.placed + c.placed) is None)
+            ok = _PAIRS.setdefault(key, first_grid_violation(p.placed + c.placed) is None)
         if not ok:
             return False
     return True
@@ -253,12 +265,14 @@ def _step(state: _SkewTableau):
     if pos is None:
         raise TableauError("no star to slide")
     i, j = pos
-    key = state.columns[j - 1 : j + 1]
-    if key[0].star_row != i:
+    cols = state.columns
+    col = cols[j - 1]
+    if col.star_row != i:
         raise TaquinInvariantError(f"the star at ({i}, {j}) is not in its column")
+    key = (col._id, cols[j]._id if j < len(cols) else None)
     new = _MOVES.get(key)
     if new is None:
-        new = _MOVES.setdefault(key, _framed(key, _move(state, i, j), i, j))
+        new = _MOVES.setdefault(key, _framed(cols[j - 1 : j + 1], _move(state, i, j), i, j))
     if not new:
         return None
     return state._with(j, new, (i + 1, j) if len(new) == 1 else (i, j + 1))
@@ -410,6 +424,8 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
             raise TaquinInvariantError(f"star {k} at ({row},{col}) is not at an inner corner")
         state = state._with(col, (c.reframed(row - 1, row),), (row, col))
         rest, path = to_rest(state)
+        if any(i != row for i, _ in path):
+            raise TaquinInvariantError(f"star {k} left row {row}: path {path}")
         if rest.zero_present:
             raise TaquinInvariantError("extended letter 0 appeared during the inverse")
         state = shed(rest)
@@ -438,12 +454,9 @@ class SlSkewColumn(_SkewColumn):
     star_row = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", tuple(self.letters))
-        self._check_frame()
-
-    @property
-    def size(self) -> int:
-        return len(self.letters)
+        letters = tuple(self.letters)
+        _set(self, "letters", letters)
+        self._check_frame(len(letters))
 
     @property
     def content(self) -> tuple[int, ...]:
@@ -469,6 +482,7 @@ class SlSkewColumn(_SkewColumn):
         return _interned(SlSkewColumn, inner, tuple(sigma_letter_sl(t, n) for t in reversed(self.letters)), star)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SlSkewColumn":
         """The letters top, ..., n-1 under `inner` vacated cells."""
         return _interned(cls, inner, tuple(range(top, n)), star)

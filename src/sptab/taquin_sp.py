@@ -18,6 +18,9 @@ a hard invariant violation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from ._record import _set
 from .columns import (
     SymplecticColumn,
     dble,
@@ -70,16 +73,12 @@ class SpSkewColumn(_SkewColumn):
 
     def __post_init__(self) -> None:
         content = SymplecticColumn(self.n, self.A, self.D)
-        self.__dict__.update(A=content.A, D=content.D, content=content)
-        self._check_frame()
-
-    @property
-    def size(self) -> int:
-        return len(self.A) + len(self.D)
-
-    @property
-    def has_zero(self) -> bool:
-        return 0 in self.A or 0 in self.D
+        A, D = content.A, content.D
+        _set(self, "A", A)
+        _set(self, "D", D)
+        _set(self, "content", content)
+        _set(self, "has_zero", 0 in A or 0 in D)
+        self._check_frame(content.height)
 
     def grid(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         d = dble(self.content)
@@ -105,6 +104,7 @@ class SpSkewColumn(_SkewColumn):
         return _interned(SpSkewColumn, self.n, inner, self.D, self.A, star)
 
     @classmethod
+    @lru_cache(maxsize=None)
     def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SpSkewColumn":
         """The letters top, ..., n under `inner` vacated cells."""
         return _interned(cls, n, inner, frozenset(range(top, n + 1)), frozenset(), star)

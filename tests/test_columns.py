@@ -366,3 +366,11 @@ def test_column_letters_are_integers():
         SymplecticColumn(3, {1}, {"a"})
     with pytest.raises(ColumnError, match=r" contains True, outside \[0, 3\]$"):
         g_from({True}, set(), 3)
+
+
+def test_recovery_names_the_sets_it_was_given():
+    # its range errors named B and C as A and D
+    with pytest.raises(ColumnError, match=r"^B contains True, outside \[0, 3\]$"):
+        g_from({True}, set(), 3)
+    with pytest.raises(ColumnError, match=r"^C contains 9, outside \[0, 3\]$"):
+        g_from(set(), {9}, 3)

@@ -214,8 +214,9 @@ def test_a_star_off_its_column_traps_and_no_move_keeps_it(monkeypatch):
     with pytest.raises(TaquinInvariantError, match=r"^the star at \(0, 1\) is not in its column$"):
         jdt_inverse(rest_short)
     assert taquin_sl._MOVES
-    # () marks a star at rest; every stored move changes column j
-    assert all(not new or new != key[: len(new)] for key, new in taquin_sl._MOVES.items())
+    # () marks a star at rest; every stored move changes column j, whose id
+    # heads the key
+    assert all(not new or new[0]._id != key[0] for key, new in taquin_sl._MOVES.items())
 
 
 def test_skew_state_preconditions():

@@ -722,6 +722,15 @@ def leaving_zero(state, i, j):
     return (zeroed(new[0]),) + new[1:] if len(new) == 2 else new
 
 
+def sinking(state, i, j):
+    """The move, but down first wherever the star can go down; at rest where
+    the surgery after such a step fails."""
+    try:
+        return downward(state, i, j) or MOVE(state, i, j)
+    except ColumnError:
+        return ()
+
+
 def star_lowered(lam, mu, hmax):
     d, ((k, row, col), *rest) = PLAN(lam, mu, hmax)
     return d, ((k, row + 1, col), *rest)
@@ -751,6 +760,7 @@ SLIDE_TRAPS = {
         "phi", "first column did not end trivial-with-2-vacated", {"shed": shed_changing(False, zeroed)}
     ),
     "inverse-corner": ("psi", "star 5 at (5,2) is not at an inner corner", {"_plan": star_lowered}),
+    "inverse-row": ("psi", "star 3 left row 3: path [(3, 2), (4, 2)]", {"_move": sinking, **UNCHECKED}),
     "inverse-zero": ("psi", "extended letter 0 appeared during the inverse", {"_move": leaving_zero, **UNCHECKED}),
     "inverse-exits": (
         "psi", "star exit corners not monotone: [(4, 5), (3, 5), (4, 4), (3, 4), (2, 5)]", {"_plan": stars_swapped}
