@@ -310,12 +310,19 @@ def cmd_verify_plucker(args) -> int:
     return 0 if report["status"] == "pass" else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are bad input (exit 1), not argparse's 2, a failed report."""
+
+    def error(self, message: str):
+        raise SptabError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="sptab", description=__doc__)
+    p = _Parser(prog="sptab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_required=True):
-        sp.add_argument("--n", type=int, required=n_required, help="rank")
+    def common(sp):
+        sp.add_argument("--n", type=int, required=True, help="rank")
         sp.add_argument("--file", help="read input from a file instead of stdin")
         sp.add_argument("--format", choices=("json", "ascii"), default="json")
 
@@ -372,8 +379,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except TaquinInvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -40,23 +40,26 @@ its own states unchecked (`_unchecked`), each in a frame known valid.  No
 move changes the frame (a worked-out move is a trap if its columns'
 heights, inner heights or star rows differ from what it implies), a pass
 and the inverse start from trivial columns around a checked tableau's, and
-a rotation turns a valid frame into a valid one.  When
-a slide is checked, the state after its first move is checked whole and
-each later state only on columns j-1 .. j+2, which decides the whole check
-because every other column and pair is as in the state before.  A check is
-the verdicts, memoised in `_PAIRS`, of one grid pass
-(`first_grid_violation`) over the placed halves of each pair of neighbours
-in its range.
+a rotation turns a valid frame into a valid one.  When a slide is checked,
+the state after its first move is checked whole and each later state only
+on columns j-1 .. j+2, which decides the whole check because every other
+column and pair is as in the state before.  A check is the verdicts,
+memoised in `_PAIRS`, of one grid pass (`first_grid_violation`) over the
+placed halves of each pair of neighbours in its range.
 
-The inverse plans each (lambda, mu, hmax) once (`_plan`): the shape checks,
-the trivial columns it prepends and the star cells in the turned frame.  Its
-start state is the straight one, rotated.  Each of its stars slides along
-its row, as each pass's star does; a star that leaves it is a trap.
-
-One pass loop (`_passes`) serves reduce_sl and phi and checks its input
-semi-standard.  The alphabet check (`check_kind`), the rows a pass may push
-and the inverse's precondition are read from tableaux, which owns those
-rules (`_nqs_rows`, `_semistandard`).
+The reduction pass and the inverse are made of one star step
+(`_slide_star`): a star put at an inner corner slides along its row to rest
+and is shed; a star off an inner corner, one that leaves its row and a
+letter 0 that appears are traps.  A pass takes one step from row s of a
+trivial column put before the tableau; the inverse, planned once per
+(lambda, mu, hmax) (`_plan`: the shape checks, the trivial columns it
+prepends, the star cells in the turned frame), takes one per star from the
+straight state, rotated.  Both strip their lead columns in `_straight`, the
+one home of the rule that each ends trivial.  One pass loop (`_passes`)
+serves reduce_sl and phi and checks its input semi-standard.  The alphabet
+check (`check_kind`), the rows a pass may push and the inverse's
+precondition are read from tableaux, which owns those rules (`_nqs_rows`,
+`_semistandard`).
 """
 
 from __future__ import annotations
@@ -321,7 +324,11 @@ def shed(state):
 
 def _straight(state: _SkewTableau, lead: int) -> Tableau:
     """The tableau in the columns after the first `lead`, built unchecked; a
-    vacated cell, the star or the extended letter 0 left there is a trap."""
+    lead column not trivial under its vacated cells, or a vacated cell, the
+    star or the extended letter 0 after them, is a trap."""
+    for j, c in enumerate(state.columns[:lead], start=1):
+        if c._id != state.column.trivial(state.n, c.inner + 1, c.inner)._id:
+            raise TaquinInvariantError(f"column {j} is not a trivial bottom")
     cols = state.columns[lead:]
     for c in cols:
         if c.inner or c.star_row is not None:
@@ -351,26 +358,33 @@ def _reduced(t: Tableau, passes) -> tuple[tuple[int, ...], Tableau]:
     return t.shape, t
 
 
+def _slide_star(cls, n: int, cols: tuple, row: int, col: int, to_rest, star: str, during: str):
+    """Put the star at the inner corner (row, col) of these columns, slide
+    it to rest with `to_rest` and shed it; returns the state and its last
+    cell.  A star off an inner corner, one that leaves its row and a letter
+    0 that appears are traps, named by `star` and `during`."""
+    c = cols[col - 1]
+    if c.inner != row or (col < len(cols) and cols[col].inner >= row):
+        raise TaquinInvariantError(f"{star} at ({row},{col}) is not at an inner corner")
+    cols = cols[: col - 1] + (c.reframed(row - 1, row),) + cols[col:]
+    rest, path = to_rest(cls._unchecked(n, cols, (row, col)))
+    if any(i != row for i, _ in path):
+        raise TaquinInvariantError(f"{star} left row {row}: path {path}")
+    if rest.zero_present:
+        raise TaquinInvariantError(f"extended letter 0 appeared during {during}")
+    return shed(rest), path[-1]
+
+
 def _slide_pass(cls, t: Tableau, s: int, to_rest) -> Tableau:
-    """One reduction pass at row s: prepend a trivial column with s-1
-    vacated cells and the star at s, slide to rest, strip it.  The
-    invariants from theory are hard traps: the star stays in row s, no 0
-    appears, the first column ends trivial."""
+    """One reduction pass at row s: put a full-height trivial column with s
+    vacated cells before t's columns (a valid frame), take one star step
+    from (s, 1), and strip the column, which must end trivial."""
     check_kind(t, cls.kind)
     if s not in t._nqs_rows:
         raise TableauError(f"tableau is quasi-standard at row {s}")
     n, model = t.n, cls.column
-    # a full-height column before t's columns: a valid frame, star at (s, 1)
-    cols = (model.trivial(n, s + 1, s - 1, s),) + tuple(model.of(n, c) for c in t.columns)
-    state = cls._unchecked(n, cols, (s, 1))
-    rest, path = to_rest(state)
-    if any(i != s for i, _ in path):
-        raise TaquinInvariantError(f"star left row {s}: path {path}")
-    if rest.zero_present:
-        raise TaquinInvariantError("extended letter 0 appeared during a reduction pass")
-    state = shed(rest)
-    if state.columns[0] != model.trivial(n, s, s - 1):
-        raise TaquinInvariantError(f"first column did not end trivial-with-{s - 1}-vacated")
+    cols = (model.trivial(n, s + 1, s),) + tuple(model.of(n, c) for c in t.columns)
+    state, _ = _slide_star(cls, n, cols, s, 1, to_rest, "star", "a reduction pass")
     return _straight(state, 1)
 
 
@@ -388,14 +402,11 @@ def _plan(lam: tuple[int, ...], mu: tuple[int, ...], hmax: int) -> tuple[int, tu
 
 
 def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Tableau:
-    """Rebuild the tableau of shape lambda that reduces to (mu, q).
-
-    Prepends trivial columns, fills lambda minus mu with numbered stars,
-    reverses, slides the stars in decreasing index (each star's remaining
-    predecessors acting as vacated cells), reverses back, completes the
-    trivial columns and strips them.  q must be semi-standard and
-    quasi-standard in the model's alphabet.
-    """
+    """Rebuild the tableau of shape lambda that reduces to (mu, q): d
+    trivial columns around q, rotated; one star step per cell of lambda
+    minus mu, in decreasing index (the later stars' cells still vacated);
+    rotated back, the d lead columns stripped.  q must be semi-standard and
+    quasi-standard in the model's alphabet."""
     lam, mu, hmax = tuple(lam), tuple(mu), q.hmax
     if q.shape != mu:
         raise ShapeError(f"tableau shape {q.shape} is not {mu}")
@@ -419,17 +430,8 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
         record.append(state)
     exits: list[tuple[int, int]] = []
     for k, row, col in stars:
-        c, right = state.columns[col - 1], state.columns[col : col + 1]
-        if c.inner != row or (right and right[0].inner >= row):
-            raise TaquinInvariantError(f"star {k} at ({row},{col}) is not at an inner corner")
-        state = state._with(col, (c.reframed(row - 1, row),), (row, col))
-        rest, path = to_rest(state)
-        if any(i != row for i, _ in path):
-            raise TaquinInvariantError(f"star {k} left row {row}: path {path}")
-        if rest.zero_present:
-            raise TaquinInvariantError("extended letter 0 appeared during the inverse")
-        state = shed(rest)
-        exits.append(path[-1])
+        state, last = _slide_star(cls, n, state.columns, row, col, to_rest, f"star {k}", "the inverse")
+        exits.append(last)
     for e1, e2 in zip(exits, exits[1:]):
         if not e2 < e1:
             raise TaquinInvariantError(f"star exit corners not monotone: {exits}")
@@ -437,9 +439,6 @@ def _expand(cls, lam, mu, q: Tableau, to_rest, record: list | None = None) -> Ta
     state = state.rotated()
     if record is not None:
         record.append(state)
-    for j, c in enumerate(state.columns[:d], start=1):
-        if c != model.trivial(n, c.inner + 1, c.inner):
-            raise TaquinInvariantError(f"column {j} is not a trivial bottom")
     return _straight(state, d)
 
 
@@ -483,9 +482,9 @@ class SlSkewColumn(_SkewColumn):
 
     @classmethod
     @lru_cache(maxsize=None)
-    def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SlSkewColumn":
+    def trivial(cls, n: int, top: int, inner: int = 0) -> "SlSkewColumn":
         """The letters top, ..., n-1 under `inner` vacated cells."""
-        return _interned(cls, inner, tuple(range(top, n)), star)
+        return _interned(cls, inner, tuple(range(top, n)), None)
 
     @classmethod
     def of(cls, n: int, letters: tuple[int, ...]) -> "SlSkewColumn":

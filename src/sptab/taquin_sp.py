@@ -105,9 +105,9 @@ class SpSkewColumn(_SkewColumn):
 
     @classmethod
     @lru_cache(maxsize=None)
-    def trivial(cls, n: int, top: int, inner: int = 0, star: int | None = None) -> "SpSkewColumn":
+    def trivial(cls, n: int, top: int, inner: int = 0) -> "SpSkewColumn":
         """The letters top, ..., n under `inner` vacated cells."""
-        return _interned(cls, n, inner, frozenset(range(top, n + 1)), frozenset(), star)
+        return _interned(cls, n, inner, frozenset(range(top, n + 1)), frozenset(), None)
 
     @classmethod
     def of(cls, n: int, col: SymplecticColumn) -> "SpSkewColumn":
@@ -165,9 +165,7 @@ def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
 
 
 def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
-    """One reduction pass at row s: prepend a trivial column with s-1
-    vacated cells and the star at s, slide to rest, strip it; the three
-    invariants from theory are enforced as hard traps."""
+    """One reduction pass at row s, the engine's `_slide_pass`, slides checked."""
     return _slide_pass(SpSkewTableau, t, s, lambda state: sjdt_to_rest(state, record, verify=True))
 
 
@@ -189,14 +187,9 @@ def psi(
     q: Tableau,
     record: list | None = None,
 ) -> Tableau:
-    """Rebuild the semi-standard tableau of shape lambda reducing to (mu, q).
-
-    Prepends trivial columns, fills lambda minus mu with numbered stars,
-    reverses, slides the stars in decreasing index (each star's remaining
-    predecessors acting as vacated cells), reverses back, completes the
-    trivial columns and strips them.  q must be semi-standard and
-    quasi-standard, else TableauError.
-    """
+    """Rebuild the semi-standard tableau of shape lambda reducing to (mu, q)
+    by the engine's inverse (`_expand`), each slide checked; q must be
+    semi-standard and quasi-standard, else TableauError."""
     return _expand(SpSkewTableau, lam, mu, q, lambda state: sjdt_to_rest(state, record, verify=True), record)
 
 

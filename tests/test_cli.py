@@ -167,6 +167,14 @@ def assert_input_error(r):
     assert len(lines) == 1 and lines[0].startswith("error:"), r.stderr
 
 
+def test_usage_errors_are_input_errors():
+    # argparse alone would exit 2, the code of a failed verification report
+    for argv in (["check", "--n", "3"], ["verify", "bijection", "--n", "x", "--max-boxes", "2"], ["frobnicate"]):
+        assert_input_error(run_cli(argv))
+    r = run_cli(["--help"])
+    assert r.returncode == 0 and r.stdout.startswith("usage: sptab")
+
+
 def test_double_rejects_columns_not_a_list_of_lists():
     assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": 5}'))
     assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": [[1], 2]}'))

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -440,7 +442,7 @@ def test_trap_fires_outside_the_window_on_the_first_move(monkeypatch):
     # the first move leaves column 1; column 4 lies outside its window 0..3,
     # so only the whole check on the first move sees it there
     after = corrupt_move(monkeypatch, 1, 4)
-    with pytest.raises(TaquinInvariantError, match="non-semi-standard"):
+    with pytest.raises(TaquinInvariantError, match=r"^slide left a non-semi-standard state at \(3, 2\)$"):
         phi(T_EX4)
     assert len(after) == 1
     assert not is_semistandard_skew_sp(after[0])
@@ -686,8 +688,9 @@ def test_column_without_a_double_raises_on_every_grid_call():
 # ---------------------------------------------------------------------------
 # every trap of the reduction pass and the inverse, each fired by a fault
 
-# the engine's own move and plan, which the faults below wrap
-MOVE, PLAN = taquin_sl._move, taquin_sl._plan
+# the engine's own move and plan, and the model's trivial column, which the
+# faults below wrap
+MOVE, PLAN, TRIVIAL = taquin_sl._move, taquin_sl._plan, SpSkewColumn.trivial
 
 
 def zeroed(c):
@@ -731,6 +734,12 @@ def sinking(state, i, j):
         return ()
 
 
+@classmethod
+def one_more_vacated(cls, n, top, inner=0):
+    """The trivial column under one vacated cell more."""
+    return TRIVIAL(n, top, inner + 1)
+
+
 def star_lowered(lam, mu, hmax):
     d, ((k, row, col), *rest) = PLAN(lam, mu, hmax)
     return d, ((k, row + 1, col), *rest)
@@ -744,6 +753,9 @@ def stars_swapped(lam, mu, hmax):
 # a fault whose states are not semi-standard also turns the slide check off,
 # so that the trap under test is the one that fires
 UNCHECKED = {"is_semistandard_skew_sp": lambda state, cols=None: True}
+# where each fault is patched in: the model's trivial column, the slide
+# check of taquin_sp, and otherwise the engine of taquin_sl
+FAULT_TARGETS = {"trivial": SpSkewColumn, **dict.fromkeys(UNCHECKED, taquin_sp)}
 # by trap: the command that reaches it, its message and the faults patched
 # in; phi's first pass on the worked example is at row 3, and psi rebuilds
 # the example from q = [1, 3', 2', 1'] with five stars
@@ -752,13 +764,12 @@ SLIDE_TRAPS = {
         "phi", "residual vacated or star cell beyond the first 1 columns", {"shed": lambda state: state}
     ),
     "straight-zero": ("phi", "extended letter 0 survived the slides", {"shed": shed_changing(True, zeroed)}),
+    "pass-corner": ("phi", "star at (3,1) is not at an inner corner", {"trivial": one_more_vacated}),
     "pass-row": ("phi", "star left row 3: path [(3, 1), (4, 1)]", {"_move": downward, **UNCHECKED}),
     "pass-zero": (
         "phi", "extended letter 0 appeared during a reduction pass", {"_move": leaving_zero, **UNCHECKED}
     ),
-    "pass-first-column": (
-        "phi", "first column did not end trivial-with-2-vacated", {"shed": shed_changing(False, zeroed)}
-    ),
+    "pass-first-column": ("phi", "column 1 is not a trivial bottom", {"shed": shed_changing(False, zeroed)}),
     "inverse-corner": ("psi", "star 5 at (5,2) is not at an inner corner", {"_plan": star_lowered}),
     "inverse-row": ("psi", "star 3 left row 3: path [(3, 2), (4, 2)]", {"_move": sinking, **UNCHECKED}),
     "inverse-zero": ("psi", "extended letter 0 appeared during the inverse", {"_move": leaving_zero, **UNCHECKED}),
@@ -774,7 +785,7 @@ SLIDE_TRAPS = {
 @pytest.mark.parametrize("command, message, faults", SLIDE_TRAPS.values(), ids=SLIDE_TRAPS)
 def test_every_slide_trap_fires(monkeypatch, tmp_path, capsys, command, message, faults):
     for name, fault in faults.items():
-        monkeypatch.setattr(taquin_sp if name in UNCHECKED else taquin_sl, name, fault)
+        monkeypatch.setattr(FAULT_TARGETS.get(name, taquin_sl), name, fault)
     q = Tableau.sp(4, [(1, 6, 7, 8)])  # phi(T_EX4) is ((4,), q)
     t, args = (T_EX4, []) if command == "phi" else (q, ["--target-shape", "4,3,2"])
     with pytest.raises(TaquinInvariantError, match=f"^{re.escape(message)}$"):
@@ -783,3 +794,53 @@ def test_every_slide_trap_fires(monkeypatch, tmp_path, capsys, command, message,
     path.write_text(dumps(tableau_to_json(t)))
     assert main([command, "--n", "4", "--file", str(path), *args]) == 3
     assert capsys.readouterr().err == f"invariant violation: {message}\n"
+
+
+# the engine's own traps, each fired by a fault in its own test, by message:
+# the command or function that reaches it; a move that changes the frame
+# and a slide check that fails (both above), a star off its column's star
+# cell (tests/test_taquin_sl.py)
+ENGINE_TRAPS = {
+    "the move of the star at (3, 1) changed the frame": "phi",
+    "slide left a non-semi-standard state at (3, 2)": "phi",
+    "the star at (0, 1) is not in its column": "jdt_inverse",
+}
+
+
+def trap_sites():
+    """(function, pattern) for each `raise TaquinInvariantError(...)` in the
+    package: the function raising it, and its message as a regular
+    expression in which each placeholder matches any text."""
+    sites = []
+    for path in sorted(Path(taquin_sl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+                continue
+            if getattr(node.exc.func, "id", None) != "TaquinInvariantError":
+                continue
+            (arg,) = node.exc.args
+            parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+            pattern = "".join(re.escape(p.value) if isinstance(p, ast.Constant) else ".+" for p in parts)
+            inside = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno), key=lambda f: f.lineno)
+            sites.append((inside.name, re.compile(pattern)))
+    return sites
+
+
+def test_each_trap_is_raised_once_and_fired_by_a_fault():
+    fired = [(command, message) for command, message, _ in SLIDE_TRAPS.values()]
+    fired += [(command, message) for message, command in ENGINE_TRAPS.items()]
+    sites = trap_sites()
+    assert len(sites) == 10
+    for command, message in fired:
+        assert sum(bool(pattern.fullmatch(message)) for _, pattern in sites) == 1, message
+    both = []
+    for function, pattern in sites:
+        commands = {command for command, message in fired if pattern.fullmatch(message)}
+        assert commands, f"no fault fires the trap {pattern.pattern!r} in {function}"
+        if function == "_slide_star" or pattern.fullmatch("column 1 is not a trivial bottom"):
+            both.append(commands)
+    # the star step (inner corner, row, letter 0) and the lead-column rule
+    # serve the pass and the inverse, and a fault fires each through both
+    assert both == [{"phi", "psi"}] * 4
