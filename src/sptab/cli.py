@@ -119,13 +119,16 @@ def _parse_ints(text: str, what: str = "shape") -> tuple[int, ...]:
 
 
 def cmd_enum(args) -> int:
-    from .enumeration import enum_admissible_columns, enum_qs_sl, enum_qs_sp, enum_ss_sl, enum_ss_sp
+    from .enumeration import _admissible_count, enum_admissible_columns, enum_qs_sl, enum_qs_sp, enum_ss_sl, enum_ss_sp
     from .tableaux import Tableau, render, tableau_to_json
 
     shape = _parse_ints(args.shape)
     if args.predicate == "admissible":
         if len(shape) != 1:
             raise SptabError("admissible enumeration takes a single height")
+        if args.count:
+            _emit({"count": _admissible_count(args.n, shape[0])})
+            return 0
         items = [
             Tableau(args.n, "sp", (c,)) for c in enum_admissible_columns(args.n, shape[0])
         ]
@@ -270,14 +273,14 @@ def cmd_verify_dims(args) -> int:
     _check_verify_rank(args)
     if min(args.max_k, args.n) < 2:  # no height from 2 to min(max_k, n) to check
         raise SptabError(f"--max-k and --n must be at least 2, got {args.max_k} and {args.n}")
-    from .enumeration import enum_admissible_columns
+    from .enumeration import _admissible_count
     from .plucker import kernel_dimension
 
     results = []
     for k in range(2, min(args.max_k, args.n) + 1):
         kernel = kernel_dimension(args.n, k)
         formula = comb(2 * args.n, k) - comb(2 * args.n, k - 2)
-        adm = len(enum_admissible_columns(args.n, k))
+        adm = _admissible_count(args.n, k)
         results.append(
             {"k": k, "admissible": adm, "kernel": kernel, "formula": formula, "ok": adm == kernel == formula}
         )

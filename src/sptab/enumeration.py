@@ -8,6 +8,12 @@ semi-standard verdict reads; this prunes early and keeps the exhaustive
 suites fast.  Each prefix ORs the rows its columns and pairs kill, so every
 tableau is built with both verdicts recorded.  Output orders are
 deterministic (columns sorted by their visible letter codes).
+
+The admissible columns of a height come from one witness search
+(`_admissible_sets`), which yields their (A, D) and builds nothing:
+`enum_admissible_columns` builds and caches the columns from it, and
+`_admissible_count`, which `verify dims` and `enum --count` read, only
+counts them.  Every generator checks the rank before the shape.
 """
 
 from __future__ import annotations
@@ -43,19 +49,32 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
-def enum_admissible_columns(n: int, k: int) -> tuple[SymplecticColumn, ...]:
-    """All admissible columns of height k, sorted by visible letter codes;
-    the witness search runs on each candidate before any column is built."""
+def _admissible_sets(n: int, k: int):
+    """The (A, D) of each admissible column of height k, as sorted tuples,
+    in candidate order: the witness search runs on each candidate, and no
+    column is built.  Rank and height are checked before it returns."""
+    check_rank(n)
     if not 1 <= k <= n:
         raise ShapeError(f"height {k} outside [1, {n}]")
-    out = []
     universe = range(1, n + 1)
-    for a in range(k + 1):
-        for A in combinations(universe, a):
-            for D in combinations(universe, k - a):
-                if _witness(n, A, D)[1] is not None:
-                    out.append(SymplecticColumn(n, frozenset(A), frozenset(D)))
+    return (
+        (A, D)
+        for a in range(k + 1)
+        for A in combinations(universe, a)
+        for D in combinations(universe, k - a)
+        if _witness(n, A, D)[1] is not None
+    )
+
+
+def _admissible_count(n: int, k: int) -> int:
+    """How many admissible columns of height k there are, none of them built."""
+    return sum(1 for _ in _admissible_sets(n, k))
+
+
+@lru_cache(maxsize=None)
+def enum_admissible_columns(n: int, k: int) -> tuple[SymplecticColumn, ...]:
+    """All admissible columns of height k, sorted by visible letter codes."""
+    out = [SymplecticColumn(n, frozenset(A), frozenset(D)) for A, D in _admissible_sets(n, k)]
     return tuple(sorted(out, key=lambda c: c.codes()))
 
 
@@ -70,8 +89,7 @@ def _enum(n: int, heights: tuple[int, ...], kind: str, candidates) -> list[Table
     extended in turn by each candidate, which keeps the order of a
     depth-first walk.  Each is semi-standard, and not quasi-standard at the
     heights up to its first column's trivial top that no column or pair of
-    its prefix killed.  The rank is checked here, the shape by the caller."""
-    check_rank(n)
+    its prefix killed.  The caller checks the rank, then the shape."""
     prefixes: list[tuple] = [((), 0)]
     for h in heights:
         cands = [(c, _column(c)[2]) for c in candidates(n, h)]
@@ -92,6 +110,7 @@ def _enum(n: int, heights: tuple[int, ...], kind: str, candidates) -> list[Table
 def enum_ss_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
     """All semi-standard symplectic tableaux of the given shape."""
     heights = tuple(heights)
+    check_rank(n)
     check_shape(heights, n)
     return _enum(n, heights, "sp", enum_admissible_columns)
 
@@ -103,6 +122,7 @@ def enum_qs_sp(n: int, heights: tuple[int, ...]) -> list[Tableau]:
 def enum_ss_sl(n: int, heights: tuple[int, ...]) -> list[Tableau]:
     """All semi-standard plain-letter tableaux of the given shape."""
     heights = tuple(heights)
+    check_rank(n)
     check_shape(heights, n - 1)
     return _enum(n, heights, "sl", _columns_by_height_sl)
 

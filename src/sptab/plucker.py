@@ -8,6 +8,10 @@ e_l-bar, so contracting a basis wedge keeps exactly the position pairs
 (i < j) whose letters are a bar pair, with sign (-1)^(i+j-1); signs are
 computed here once, and the relation rank reads them from the contraction
 matrix, so the two sides cannot drift apart.
+
+Both wedge bases are read lazily.  `relation_rank` uses up its own rows:
+each is let go once the elimination has read it, in the rows' order, so
+only the pivots stay; `exact_rank` never modifies the rows it is given.
 """
 
 from __future__ import annotations
@@ -32,11 +36,15 @@ FormalVector = dict[Wedge, int]
 Row = dict[int, int]
 
 
+def _wedges(n: int, k: int) -> Iterable[Wedge]:
+    return combinations(range(1, 2 * n + 1), k)
+
+
 def wedge_basis(n: int, k: int) -> list[Wedge]:
     """All degree-k basis wedges over the rank-n alphabet, lexicographic."""
     if k < 0 or k > 2 * n:
         raise ShapeError(f"degree {k} outside [0, {2 * n}]")
-    return list(combinations(range(1, 2 * n + 1), k))
+    return list(_wedges(n, k))
 
 
 def contract(w: Wedge, n: int) -> FormalVector:
@@ -63,9 +71,9 @@ def contraction_matrix(n: int, k: int) -> list[Row]:
     over the degree-k wedges; both bases are in lexicographic order."""
     if not 2 <= k <= n:
         raise ShapeError(f"degree {k} outside [2, {n}]")
-    index = {e: r for r, e in enumerate(wedge_basis(n, k - 2))}
+    index = {e: r for r, e in enumerate(_wedges(n, k - 2))}
     rows: list[Row] = [{} for _ in index]
-    for c, w in enumerate(wedge_basis(n, k)):
+    for c, w in enumerate(_wedges(n, k)):
         for e, coeff in contract(w, n).items():
             rows[index[e]][c] = coeff
     return rows
@@ -103,7 +111,10 @@ def exact_rank(rows: Iterable[Row]) -> int:
 
 
 def relation_rank(n: int, k: int) -> int:
-    return exact_rank(contraction_matrix(n, k))
+    """The rank of the degree-k contraction, its rows let go as they are read."""
+    rows = contraction_matrix(n, k)
+    rows.reverse()
+    return exact_rank(rows.pop() for _ in range(len(rows)))
 
 
 def kernel_dimension(n: int, k: int) -> int:

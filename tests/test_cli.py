@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import tempfile
+from math import comb
 from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
@@ -96,6 +97,43 @@ def test_verify_subcommands_pass():
     r = run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "2"])
     assert r.returncode == 0
     assert json.loads(r.stdout)["status"] == "pass"
+
+
+def test_verify_dims_builds_no_column(monkeypatch, capsys):
+    # the admissible counts come from the witness search alone: no column
+    # record is built or cached
+    from sptab import columns, enumeration
+
+    builds = []
+    init = columns.SymplecticColumn.__post_init__
+
+    def counted(col):
+        builds.append(col)
+        init(col)
+
+    monkeypatch.setattr(columns.SymplecticColumn, "__post_init__", counted)
+    cached = enumeration.enum_admissible_columns.cache_info().currsize
+    assert main(["verify", "dims", "--n", "6", "--max-k", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "pass"
+    assert [r["admissible"] for r in out["results"]] == [comb(12, k) - comb(12, k - 2) for k in range(2, 7)]
+    assert builds == []
+    assert enumeration.enum_admissible_columns.cache_info().currsize == cached
+
+
+def test_enum_admissible_count_matches_the_listing(capsys):
+    for n, k in ((2, 1), (3, 2), (4, 3), (4, 4)):
+        assert main(["enum", "--n", str(n), "--shape", str(k), "--predicate", "admissible"]) == 0
+        listed = capsys.readouterr().out.splitlines()
+        assert main(["enum", "--n", str(n), "--shape", str(k), "--predicate", "admissible", "--count"]) == 0
+        assert capsys.readouterr().out == json.dumps({"count": len(listed)}, separators=(",", ":")) + "\n"
+
+
+def test_enum_rejects_rank_below_one():
+    for predicate in ("admissible", "ss-sp", "qs-sp", "ss-sl", "qs-sl"):
+        for count in ([], ["--count"]):
+            code, err = run_main(["enum", "--n", "0", "--shape", "1", "--predicate", predicate] + count, "")
+            assert (code, err) == (1, "error: rank must be positive, got 0\n")
 
 
 def test_verify_bijection_jobs_flag_matches_serial():

@@ -34,6 +34,36 @@ def test_column_counts():
         enum_admissible_columns(3, 4)
 
 
+def test_admissible_count_equals_the_enumeration_and_the_formula():
+    # the count reads the generator the enumeration builds from, and equals
+    # the kernel dimension C(2n, k) - C(2n, k - 2) of the column case
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            formula = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
+            assert enumeration._admissible_count(n, k) == len(enum_admissible_columns(n, k)) == formula, (n, k)
+    with pytest.raises(ShapeError, match=r"^height 4 outside \[1, 3\]$"):
+        enumeration._admissible_count(3, 4)
+
+
+@pytest.mark.parametrize(
+    "enum, args",
+    [
+        (enum_admissible_columns, (1,)),
+        (enumeration._admissible_count, (1,)),
+        (enum_ss_sp, ((1,),)),
+        (enum_qs_sp, ((1,),)),
+        (enum_ss_sl, ((1,),)),
+        (enum_qs_sl, ((1,),)),
+    ],
+    ids=["admissible", "admissible-count", "ss-sp", "qs-sp", "ss-sl", "qs-sl"],
+)
+def test_enumerators_check_the_rank_before_the_shape(enum, args):
+    # a shape fault used to be reported for a non-positive rank
+    for n in (0, -1):
+        with pytest.raises(TableauError, match=f"^rank must be positive, got {n}$"):
+            enum(n, *args)
+
+
 def test_enum_ss_sp_counts_and_membership():
     assert len(enum_ss_sp(2, (2,))) == 5
     t = Tableau.sp(3, [(1, 2, 5), (2, 5)])

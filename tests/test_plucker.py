@@ -153,6 +153,17 @@ def test_contraction_surjective_up_to_rank4():
             assert relation_rank(n, k) == comb(2 * n, k - 2)
 
 
+def test_relation_rank_uses_up_its_own_rows_only():
+    # relation_rank hands its rows to the elimination one at a time, in
+    # order; a caller's list is left as it was
+    for n in range(2, 6):
+        for k in range(2, n + 1):
+            rows = contraction_matrix(n, k)
+            kept = [dict(row) for row in rows]
+            assert relation_rank(n, k) == exact_rank(rows) == comb(2 * n, k - 2)
+            assert rows == kept
+
+
 def rank_oracle(matrix):
     """Independent rank via Gaussian elimination over Fractions."""
     m = [[Fraction(x) for x in row] for row in matrix]
