@@ -26,11 +26,10 @@ _PUBLIC = {
         "SptabError TableauError TaquinInvariantError"
     ),
     "letters": "Letter code from_code sigma_letter_sl",
-    "plucker": "contract contraction_matrix exact_rank kernel_dimension relation_rank wedge_basis",
+    "plucker": "contract contraction_matrix exact_rank kernel_dimension relation_rank",
     "tableaux": (
-        "Tableau dble_tableau is_quasistandard_sl is_quasistandard_sp is_semistandard_sl "
-        "is_semistandard_sp parse render shape_contains skew_cells "
-        "tableau_from_json tableau_to_json weight_leq weight_subshapes"
+        "Tableau dble_tableau is_quasistandard_sl is_quasistandard_sp is_semistandard_sp parse "
+        "render shape_contains skew_cells tableau_from_json tableau_to_json weight_leq weight_subshapes"
     ),
     "taquin_sl": (
         "SlSkewColumn SlSkewTableau expand_sl jdt_step jdt_to_rest reduce_sl sigma_sl slide_pass_sl"

@@ -206,6 +206,16 @@ def cmd_sjdt(args) -> int:
     if len(star) != 2:
         raise SptabError(f"unreadable star {args.star!r}")
     row, col = star
+    # the star sits on the bottom vacated cell of its column, at an inner corner
+    if not 1 <= col <= len(raw_cols):
+        raise SptabError(f"star column {col} outside [1, {len(raw_cols)}]")
+    inn = inner[col - 1]
+    if inn < 1:
+        raise SptabError(f"star column {col} has no vacated cell (inner={inn})")
+    if row != inn:
+        raise SptabError(f"star row {row} must be the bottom vacated cell (inner={inn})")
+    if col < len(inner) and inner[col] >= row:
+        raise SptabError(f"star {row},{col} is not at an inner corner: cell {row},{col + 1} is vacated")
     cols = []
     for j, raw in enumerate(raw_cols, start=1):
         letters = [letter_from_json(v) for v in raw if v is not None]
@@ -213,13 +223,10 @@ def cmd_sjdt(args) -> int:
         D = frozenset(l.magnitude for l in letters if l.barred)
         if len(A) + len(D) != len(letters):
             raise SptabError(f"column {j}: repeated letters")
-        inn = inner[j - 1]
         if j == col:
-            if row != inn:
-                raise SptabError(f"star row {row} must be the bottom vacated cell (inner={inn})")
-            cols.append(SpSkewColumn(n, inn - 1, A, D, row))
+            cols.append(SpSkewColumn(n, row - 1, A, D, row))
         else:
-            cols.append(SpSkewColumn(n, inn, A, D))
+            cols.append(SpSkewColumn(n, inner[j - 1], A, D))
     state = SpSkewTableau(n, tuple(cols))
     for c in cols:
         c.grid()  # every column needs a double, whether the slide reads it or not
@@ -240,6 +247,18 @@ def cmd_sjdt(args) -> int:
 def _check_verify_rank(args) -> None:
     if args.n < 1:
         raise SptabError(f"rank must be positive, got --n {args.n}")
+
+
+def _kernel_formula(n: int, k: int) -> int:
+    """The dimension the contraction kernel of degree k must have: C(2n,k) - C(2n,k-2)."""
+    return comb(2 * n, k) - comb(2 * n, k - 2)
+
+
+def _verdict(report: dict, ok: bool) -> int:
+    """Print a verification report with its status; exit 0 on pass, 2 on fail."""
+    report["status"] = "pass" if ok else "fail"
+    _emit(report)
+    return 0 if ok else 2
 
 
 def cmd_verify_bijection(args) -> int:
@@ -265,8 +284,7 @@ def cmd_verify_bijection(args) -> int:
     else:
         reports = [verify_bijection(args.n, s) for s in shapes]
     ok = all(r["status"] == "pass" for r in reports)
-    _emit({"n": args.n, "max_boxes": args.max_boxes, "reports": reports, "status": "pass" if ok else "fail"})
-    return 0 if ok else 2
+    return _verdict({"n": args.n, "max_boxes": args.max_boxes, "reports": reports}, ok)
 
 
 def cmd_verify_dims(args) -> int:
@@ -279,14 +297,12 @@ def cmd_verify_dims(args) -> int:
     results = []
     for k in range(2, min(args.max_k, args.n) + 1):
         kernel = kernel_dimension(args.n, k)
-        formula = comb(2 * args.n, k) - comb(2 * args.n, k - 2)
+        formula = _kernel_formula(args.n, k)
         adm = _admissible_count(args.n, k)
         results.append(
             {"k": k, "admissible": adm, "kernel": kernel, "formula": formula, "ok": adm == kernel == formula}
         )
-    ok = all(r["ok"] for r in results)
-    _emit({"n": args.n, "results": results, "status": "pass" if ok else "fail"})
-    return 0 if ok else 2
+    return _verdict({"n": args.n, "results": results}, all(r["ok"] for r in results))
 
 
 def cmd_verify_plucker(args) -> int:
@@ -296,7 +312,7 @@ def cmd_verify_plucker(args) -> int:
     rows = contraction_matrix(args.n, args.k)
     rank = exact_rank(rows)
     kernel = comb(2 * args.n, args.k) - rank
-    expected = comb(2 * args.n, args.k) - comb(2 * args.n, args.k - 2)
+    expected = _kernel_formula(args.n, args.k)
     report = {
         "n": args.n,
         "k": args.k,
@@ -305,12 +321,10 @@ def cmd_verify_plucker(args) -> int:
         "rank": rank,
         "kernel": kernel,
         "expected_kernel": expected,
-        "status": "pass" if kernel == expected else "fail",
     }
     if args.dump_matrix:
         report["triplets"] = [[r, c, v] for r, row in enumerate(rows) for c, v in row.items()]
-    _emit(report)
-    return 0 if report["status"] == "pass" else 2
+    return _verdict(report, kernel == expected)
 
 
 class _Parser(argparse.ArgumentParser):

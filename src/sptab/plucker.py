@@ -28,7 +28,6 @@ __all__ = [
     "exact_rank",
     "kernel_dimension",
     "relation_rank",
-    "wedge_basis",
 ]
 
 Wedge = tuple[int, ...]
@@ -38,13 +37,6 @@ Row = dict[int, int]
 
 def _wedges(n: int, k: int) -> Iterable[Wedge]:
     return combinations(range(1, 2 * n + 1), k)
-
-
-def wedge_basis(n: int, k: int) -> list[Wedge]:
-    """All degree-k basis wedges over the rank-n alphabet, lexicographic."""
-    if k < 0 or k > 2 * n:
-        raise ShapeError(f"degree {k} outside [0, {2 * n}]")
-    return list(_wedges(n, k))
 
 
 def contract(w: Wedge, n: int) -> FormalVector:

@@ -53,7 +53,6 @@ __all__ = [
     "first_grid_violation",
     "is_quasistandard_sl",
     "is_quasistandard_sp",
-    "is_semistandard_sl",
     "is_semistandard_sp",
     "multiplicities_to_shape",
     "nqs_grid",
@@ -441,11 +440,6 @@ def nqs_rows(grid: Grid) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # tableau-level predicates
-
-
-def is_semistandard_sl(t: Tableau) -> bool:
-    check_kind(t, "sl")
-    return t._semistandard
 
 
 def is_quasistandard_sl(t: Tableau) -> bool:

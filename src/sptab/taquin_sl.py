@@ -28,8 +28,8 @@ come from one intern table keyed by the model's letters and the frame
 once per process.  A column stores its size, height and whether it holds
 the letter 0 when built, and gets an id, the same for every equal column
 (`_record.Identified`); it lays out its grid by row (`placed`) at first
-read, and its 180-degree turn in a rectangle is memoised by its id
-(`_TURNS`), as the trivial columns are by their frame.  The tables below
+read; its 180-degree turn in a rectangle is interned like any column, and
+the trivial columns are memoised by their frame.  The tables below
 key columns by their ids, so no lookup runs Python code to hash or
 compare.  The step table `_MOVES` holds the new columns of each move by its
 pair (column j, column j+1), so a move is worked out once per distinct
@@ -92,10 +92,9 @@ __all__ = [
 _COLUMNS: dict = {}
 # the step table: by the ids of (column j, column j+1, None if none), the
 # columns a move of the star in column j puts in their place, () when it
-# rests; by the ids of a pair, its verdict; by (id, H, n), a column's turn
+# rests; by the ids of a pair, its verdict
 _MOVES: dict = {}
 _PAIRS: dict = {}
-_TURNS: dict = {}
 
 
 def _interned(cls, *fields):
@@ -141,12 +140,8 @@ class _SkewColumn(Identified):
 
     def turned(self, H: int, n: int):
         """The column turned upside down in a rectangle of height H."""
-        key = (self._id, H, n)
-        col = _TURNS.get(key)
-        if col is None:
-            star = None if self.star_row is None else H + 1 - self.star_row
-            col = _TURNS[key] = self._reversed(H - self.height, star, n)
-        return col
+        star = None if self.star_row is None else H + 1 - self.star_row
+        return self._reversed(H - self.height, star, n)
 
 
 class _SkewTableau(Record):

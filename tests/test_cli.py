@@ -121,6 +121,32 @@ def test_verify_dims_builds_no_column(monkeypatch, capsys):
     assert enumeration.enum_admissible_columns.cache_info().currsize == cached
 
 
+def test_a_failed_report_exits_2_from_each_verify_subcommand(monkeypatch, capsys):
+    # each oracle is put off in turn, so that its subcommand's report fails
+    from sptab import enumeration, plucker
+
+    verify_bijection, kernel_dimension, exact_rank = (
+        enumeration.verify_bijection,
+        plucker.kernel_dimension,
+        plucker.exact_rank,
+    )
+
+    def failed(n, shape):
+        return {**verify_bijection(n, shape), "status": "fail"}
+
+    for argv, module, name, wrong in (
+        ("bijection --n 2 --max-boxes 2", enumeration, "verify_bijection", failed),
+        ("dims --n 3 --max-k 3", plucker, "kernel_dimension", lambda n, k: kernel_dimension(n, k) + 1),
+        ("plucker --n 3 --k 2", plucker, "exact_rank", lambda rows: exact_rank(rows) - 1),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(module, name, wrong)
+            assert main(["verify", *argv.split()]) == 2, argv
+        out, err = capsys.readouterr()
+        assert err == "" and len(out.splitlines()) == 1, argv
+        assert json.loads(out)["status"] == "fail", argv
+
+
 def test_enum_admissible_count_matches_the_listing(capsys):
     for n, k in ((2, 1), (3, 2), (4, 3), (4, 4)):
         assert main(["enum", "--n", str(n), "--shape", str(k), "--predicate", "admissible"]) == 0
@@ -238,6 +264,27 @@ def test_sjdt_rejects_a_column_without_a_double():
         r = run_cli(["sjdt", "--n", str(n), "--star", "1,1"], skew)
         assert_input_error(r)
         assert r.stderr == f"error: column {column} is not admissible for rank {n}\n"
+
+
+def test_sjdt_rejects_a_star_past_the_last_column():
+    # used to report that there was no star to slide
+    skew = '{"n": 3, "columns": [[1, 2], [2]], "inner": [0, 0]}'
+    got = run_main(["sjdt", "--n", "3", "--star", "1,3"], skew)
+    assert got == (1, "error: star column 3 outside [1, 2]\n")
+
+
+def test_sjdt_rejects_a_star_in_a_column_with_no_vacated_cell():
+    # used to report a negative inner height, of a frame the input never gave
+    skew = '{"n": 3, "columns": [[1, 2], [2]], "inner": [0, 0]}'
+    got = run_main(["sjdt", "--n", "3", "--star", "0,1"], skew)
+    assert got == (1, "error: star column 1 has no vacated cell (inner=0)\n")
+
+
+def test_sjdt_rejects_a_star_left_of_a_vacated_cell():
+    # used to report the inner heights (0, 1) of the frame with the star taken out
+    skew = '{"n": 3, "columns": [[1, 2], [2]], "inner": [1, 1]}'
+    got = run_main(["sjdt", "--n", "3", "--star", "1,1"], skew)
+    assert got == (1, "error: star 1,1 is not at an inner corner: cell 1,2 is vacated\n")
 
 
 def test_double_dash_option_value_is_an_input_error():

@@ -13,8 +13,12 @@ from sptab.plucker import (
     exact_rank,
     kernel_dimension,
     relation_rank,
-    wedge_basis,
 )
+
+
+def wedge_basis(n, k):
+    """The degree-k basis wedges over the rank-n alphabet, lexicographic."""
+    return list(combinations(range(1, 2 * n + 1), k))
 
 
 def omega(a, b, n):

@@ -13,7 +13,6 @@ from sptab.tableaux import (
     first_grid_violation,
     is_quasistandard_sl,
     is_quasistandard_sp,
-    is_semistandard_sl,
     is_semistandard_sp,
     multiplicities_to_shape,
     nqs_grid,
@@ -237,7 +236,7 @@ def test_semistandard_sl_is_the_whole_grid_pass():
     seen = {True: 0, False: 0}
     for n in (3, 4):
         for t in tableaux_of(n, "sl", n - 1, 4, lambda n, k: list(product(range(1, n + 1), repeat=k))):
-            verdict = is_semistandard_sl(t)
+            verdict = t._semistandard  # folded from the column and pair memos
             assert verdict == (first_grid_violation(t.grid()) is None), t.columns
             seen[verdict] += 1
     assert seen[True] and seen[False] > seen[True]
@@ -410,9 +409,9 @@ def test_parse_rejects_a_row_longer_than_the_row_above():
     assert parse("1  1  1\n2  3\n3\n", 4, "sl").columns == ((1, 2, 3), (1, 3), (1,))
 
 
-def test_is_semistandard_sl_and_dble_tableau_check_their_alphabet():
+def test_check_kind_and_dble_tableau_check_their_alphabet():
     with pytest.raises(TableauError, match="^expects a plain-letter tableau$"):
-        is_semistandard_sl(T_RANK3)
+        tableaux.check_kind(T_RANK3, "sl")
     with pytest.raises(TableauError, match="^only symplectic tableaux have a double$"):
         dble_tableau(Tableau.sl(4, ((1, 2),)))
 
