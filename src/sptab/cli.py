@@ -74,13 +74,12 @@ def cmd_double(args) -> int:
 
 def cmd_check(args) -> int:
     from .columns import is_admissible
-    from .letters import code as letter_code, letter_from_json
-    from .tableaux import Tableau, check_kind, dble_tableau, first_grid_violation, nqs_rows
+    from .letters import letter_from_json
+    from .tableaux import _from_letters, check_kind, dble_tableau, first_grid_violation, nqs_rows
 
     data = _read_input(args)
     if args.predicate == "admissible" and isinstance(data, list):
-        letters = [letter_from_json(v) for v in data]
-        col = Tableau.sp(args.n, [tuple(letter_code(l, args.n) for l in letters)]).columns[0]
+        col = _from_letters([[letter_from_json(v) for v in data]], args.n, "sp").columns[0]
         _emit({"result": is_admissible(col), "violation": None})
         return 0
     t = _tableau(args, data)
@@ -186,8 +185,9 @@ def _emit_result(args, out: dict, result, record: list | None) -> int:
 
 
 def cmd_sjdt(args) -> int:
-    from .letters import _is_int, letter_from_json
-    from .taquin_sp import SpSkewColumn, SpSkewTableau, shed, sjdt_to_rest, state_to_json, trace_to_json
+    from .letters import _is_int, code, letter_from_json
+    from .taquin_sp import SpSkewColumn, SpSkewTableau, is_semistandard_skew_sp, shed, sjdt_to_rest
+    from .taquin_sp import state_to_json, trace_to_json
 
     data = _read_input(args)
     if not isinstance(data, dict) or "columns" not in data:
@@ -221,15 +221,16 @@ def cmd_sjdt(args) -> int:
         letters = [letter_from_json(v) for v in raw if v is not None]
         A = frozenset(l.magnitude for l in letters if not l.barred)
         D = frozenset(l.magnitude for l in letters if l.barred)
-        if len(A) + len(D) != len(letters):
-            raise SptabError(f"column {j}: repeated letters")
-        if j == col:
-            cols.append(SpSkewColumn(n, row - 1, A, D, row))
-        else:
-            cols.append(SpSkewColumn(n, inner[j - 1], A, D))
+        c = SpSkewColumn(n, row - 1, A, D, row) if j == col else SpSkewColumn(n, inner[j - 1], A, D)
+        # the letters, as codes, are the column's: in alphabet order, each once
+        if tuple(code(l, n) for l in letters) != c.content.codes():
+            raise SptabError(f"column {j}: letters must strictly increase in alphabet order")
+        cols.append(c)
     state = SpSkewTableau(n, tuple(cols))
-    for c in cols:
-        c.grid()  # every column needs a double, whether the slide reads it or not
+    # the slide keeps this and checks it after every move; the check reads
+    # the double of every column, so an inadmissible one is refused here
+    if not is_semistandard_skew_sp(state):
+        raise SptabError("the skew tableau is not semi-standard away from the star")
     record: list = []
     rest, path = sjdt_to_rest(state, record)
     final = shed(rest)
@@ -338,22 +339,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="sptab", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, reads: bool = True, formats: bool = True):
+        """--n, and --file and --format where the command reads them."""
         sp.add_argument("--n", type=int, required=True, help="rank")
-        sp.add_argument("--file", help="read input from a file instead of stdin")
-        sp.add_argument("--format", choices=("json", "ascii"), default="json")
+        if reads:
+            sp.add_argument("--file", help="read input from a file instead of stdin")
+        if formats:
+            sp.add_argument("--format", choices=("json", "ascii"), default="json")
 
     sp = sub.add_parser("double", help="double a symplectic tableau")
     common(sp)
     sp.set_defaults(fn=cmd_double)
 
     sp = sub.add_parser("check", help="evaluate a predicate on a tableau")
-    common(sp)
+    common(sp, formats=False)
     sp.add_argument("--predicate", required=True, choices=("ss-sp", "qs-sp", "ss-sl", "qs-sl", "admissible"))
     sp.set_defaults(fn=cmd_check)
 
     sp = sub.add_parser("enum", help="enumerate tableaux of a shape")
-    common(sp)
+    common(sp, reads=False)
     sp.add_argument("--shape", required=True, help="comma-separated column heights")
     sp.add_argument("--predicate", required=True, choices=("ss-sp", "qs-sp", "ss-sl", "qs-sl", "admissible"))
     sp.add_argument("--count", action="store_true", help="print the cardinality only")
@@ -371,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_psi)
 
     sp = sub.add_parser("sjdt", help="run one slide on a skew tableau")
-    common(sp)
+    common(sp, formats=False)
     sp.add_argument("--star", required=True, help="ROW,COL of the pointed cell")
     sp.set_defaults(fn=cmd_sjdt)
 

@@ -104,17 +104,9 @@ def _smallest_dominating(I: list[int], pool: list[int]) -> list[int] | None:
 
 class DoubledColumn(Record):
     """The double of (A, D): the witness sets, and the left column A over C'
-    and the right column B over D' as letter codes."""
+    (`left`) and the right column B over D' (`right`) as top-down codes."""
 
     _fields = ("n", "A", "D", "I", "J", "B", "C", "left", "right")
-
-    def left_codes(self) -> tuple[int, ...]:
-        """The column A over C', top-down."""
-        return self.left
-
-    def right_codes(self) -> tuple[int, ...]:
-        """The column B over D', top-down."""
-        return self.right
 
 
 def _witness(n: int, A, D) -> tuple[list[int], list[int] | None]:

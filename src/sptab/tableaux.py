@@ -251,6 +251,7 @@ class Tableau(Record):
     @staticmethod
     def sp(n: int, columns) -> "Tableau":
         """Build from SymplecticColumn objects or top-down letter-code tuples."""
+        check_rank(n)
         cols = []
         for j, c in enumerate(columns):
             if isinstance(c, SymplecticColumn):
@@ -512,8 +513,10 @@ def _from_rows(rows: list[list[Letter]], n: int, kind: str) -> Tableau:
 
 
 def _from_letters(columns: list[list[Letter]], n: int, kind: str) -> Tableau:
-    """The tableau with these letter columns; a malformed one is a ParseError."""
+    """The tableau with these letter columns; a malformed one is a ParseError,
+    the rank checked before the letters."""
     try:
+        check_rank(n)
         if kind == "sl":
             for j, col in enumerate(columns):
                 if any(l.barred for l in col):

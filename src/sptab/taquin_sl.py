@@ -181,10 +181,6 @@ class _SkewTableau(Record):
         return self._unchecked(self.n, cols[: col - 1] + new + cols[col - 1 + len(new) :], star)
 
     @property
-    def heights(self) -> tuple[int, ...]:
-        return tuple(c.height for c in self.columns)
-
-    @property
     def inners(self) -> tuple[int, ...]:
         return tuple(c.inner for c in self.columns)
 

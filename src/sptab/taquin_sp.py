@@ -140,15 +140,14 @@ def sjdt_step(state: SpSkewTableau) -> SpSkewTableau | None:
     return _step(state)
 
 
-def sjdt_to_rest(
-    state: SpSkewTableau, record: list | None = None, verify: bool = False
-) -> tuple[SpSkewTableau, list[tuple[int, int]]]:
+def sjdt_to_rest(state: SpSkewTableau, record: list | None = None) -> tuple[SpSkewTableau, list[tuple[int, int]]]:
     """Slide until the star rests; returns the state and the star's path.
 
-    With verify=True every intermediate state is checked to stay
-    semi-standard away from the star (an invariant of the slide rules).
+    The state must be semi-standard away from the star.  The slide rules
+    keep it so, and every state after a move is checked: one that is not
+    is a TaquinInvariantError.
     """
-    return _to_rest(state, sjdt_step, record, is_semistandard_skew_sp if verify else None)
+    return _to_rest(state, sjdt_step, record, is_semistandard_skew_sp)
 
 
 def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
@@ -166,7 +165,7 @@ def sigma_sp(state: SpSkewTableau) -> SpSkewTableau:
 
 def slide_pass_sp(t: Tableau, s: int, record: list | None = None) -> Tableau:
     """One reduction pass at row s, the engine's `_slide_pass`, slides checked."""
-    return _slide_pass(SpSkewTableau, t, s, lambda state: sjdt_to_rest(state, record, verify=True))
+    return _slide_pass(SpSkewTableau, t, s, lambda state: sjdt_to_rest(state, record))
 
 
 def phi_passes(t: Tableau, record: list | None = None):
@@ -190,7 +189,7 @@ def psi(
     """Rebuild the semi-standard tableau of shape lambda reducing to (mu, q)
     by the engine's inverse (`_expand`), each slide checked; q must be
     semi-standard and quasi-standard, else TableauError."""
-    return _expand(SpSkewTableau, lam, mu, q, lambda state: sjdt_to_rest(state, record, verify=True), record)
+    return _expand(SpSkewTableau, lam, mu, q, lambda state: sjdt_to_rest(state, record), record)
 
 
 # ---------------------------------------------------------------------------

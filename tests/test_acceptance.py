@@ -82,14 +82,14 @@ def test_criterion_1_golden_doubling():
     d18 = dble(SymplecticColumn(9, F({1, 2, 3, 7, 8}), F({1, 2, 3, 8})))
     elapsed = time.perf_counter() - t0
     ok = (
-        d8.left_codes() == (1, 2, 6)
-        and d8.right_codes() == (2, 3, 8)
+        d8.left == (1, 2, 6)
+        and d8.right == (2, 3, 8)
         and sorted(d8.B) == [2, 3]
         and sorted(d8.C) == [3]
         and sorted(d18.B) == [4, 5, 6, 7, 9]
         and sorted(d18.C) == [4, 5, 6, 9]
-        and d18.left_codes() == (1, 2, 3, 7, 8, 10, 13, 14, 15)
-        and d18.right_codes() == (4, 5, 6, 7, 9, 11, 16, 17, 18)
+        and d18.left == (1, 2, 3, 7, 8, 10, 13, 14, 15)
+        and d18.right == (4, 5, 6, 7, 9, 11, 16, 17, 18)
     )
     report(1, ok, "both displayed doubles reproduced exactly", elapsed, 0.001)
 

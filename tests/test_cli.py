@@ -8,6 +8,7 @@ import tempfile
 from math import comb
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from sptab.cli import main
@@ -162,6 +163,15 @@ def test_enum_rejects_rank_below_one():
             assert (code, err) == (1, "error: rank must be positive, got 0\n")
 
 
+def test_rank_is_checked_before_the_letters():
+    # both readers used to report "magnitude 1 exceeds rank 0"
+    for argv, stdin in (
+        (["check", "--n", "0", "--predicate", "admissible"], "[1]"),
+        (["double", "--n", "0"], '{"n": 0, "kind": "sp", "columns": [[1]]}'),
+    ):
+        assert run_main(argv, stdin) == (1, "error: rank must be positive, got 0\n")
+
+
 def test_verify_bijection_jobs_flag_matches_serial():
     a = run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "3"])
     b = run_cli(["verify", "bijection", "--n", "2", "--max-boxes", "3", "--jobs", "2"])
@@ -239,6 +249,22 @@ def test_usage_errors_are_input_errors():
     assert r.returncode == 0 and r.stdout.startswith("usage: sptab")
 
 
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["check", "--n", "3", "--predicate", "qs-sp", "--format", "json"], T_RANK3),
+        (["sjdt", "--n", "4", "--star", "2,1", "--format", "json"], SKEW_ZERO),
+        (["enum", "--n", "2", "--shape", "1", "--predicate", "ss-sp", "--file", "input.json"], ""),
+    ],
+    ids=["check-format", "sjdt-format", "enum-file"],
+)
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, stdin):
+    # check and sjdt always print JSON, and enum reads no input; each took
+    # the option, ignored it and exited 0
+    option = " ".join(argv[-2:])
+    assert run_main(argv, stdin) == (1, f"error: sptab: unrecognized arguments: {option}\n")
+
+
 def test_double_rejects_columns_not_a_list_of_lists():
     assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": 5}'))
     assert_input_error(run_cli(["double", "--n", "3"], '{"n": 3, "kind": "sp", "columns": [[1], 2]}'))
@@ -264,6 +290,39 @@ def test_sjdt_rejects_a_column_without_a_double():
         r = run_cli(["sjdt", "--n", str(n), "--star", "1,1"], skew)
         assert_input_error(r)
         assert r.stderr == f"error: column {column} is not admissible for rank {n}\n"
+
+
+@pytest.mark.parametrize(
+    "skew, message",
+    [
+        # used to be re-sorted to the column [2, 3] and slid
+        ('{"n": 3, "columns": [[3, 2]], "inner": [1]}', "column 1: letters must strictly increase in alphabet order"),
+        ('{"n": 3, "columns": [[1, 1]], "inner": [1]}', "column 1: letters must strictly increase in alphabet order"),
+        # 0 sits below every letter, so it cannot follow 1
+        ('{"n": 3, "columns": [[1, 0]], "inner": [1]}', "column 1: letters must strictly increase in alphabet order"),
+        # row 2 reads 3 | 2, not semi-standard; it used to slide
+        ('{"n": 3, "columns": [[3], [1, 2]], "inner": [1, 0]}', "the skew tableau is not semi-standard away from the star"),
+    ],
+    ids=["out-of-order", "repeated", "zero-out-of-place", "not-semistandard"],
+)
+def test_sjdt_refuses_input_the_slide_check_cannot_pass(skew, message):
+    assert run_main(["sjdt", "--n", "3", "--star", "1,1"], skew) == (1, f"error: {message}\n")
+
+
+def test_sjdt_slides_every_lowered_semistandard_tableau():
+    # every semi-standard tableau at rank <= 3 with up to 3 boxes, its first
+    # k columns lowered by one vacated cell and the star on column k, slides
+    # to rest with every state checked: no input the check admits traps
+    runs = 0
+    for n in (1, 2, 3):
+        for shape in shapes_up_to(n, 3):
+            for t in enum_ss_sp(n, shape):
+                cols = tableau_to_json(t)["columns"]
+                for k in range(1, len(cols) + 1):
+                    skew = json.dumps({"n": n, "columns": cols, "inner": [1] * k + [0] * (len(cols) - k)})
+                    assert run_main(["sjdt", "--n", str(n), "--star", f"1,{k}"], skew) == (0, ""), skew
+                    runs += 1
+    assert runs == 513
 
 
 def test_sjdt_rejects_a_star_past_the_last_column():
@@ -392,14 +451,16 @@ PREDICATE = st.sampled_from(["ss-sp", "qs-sp", "ss-sl", "qs-sl", "admissible"])
 @st.composite
 def requests(draw):
     """A well-formed argument vector, random input and where it is read from:
-    stdin (None), or --file naming a missing path, a directory or a file
-    holding the input.  The input is often a tableau or a skew tableau of
-    the requested rank; real tableaux, target shapes and stars reach the
-    slides."""
+    stdin (None), or, for a command that reads input, --file naming a
+    missing path, a directory or a file holding the input.  The input is
+    often a tableau or a skew tableau of the requested rank; real tableaux,
+    target shapes and stars reach the slides."""
     command = draw(st.sampled_from(["double", "check", "phi", "psi", "sjdt", "enum"]))
     n = draw(st.integers(-1, 4))
     shapes = [",".join(map(str, s)) for s in shapes_up_to(max(n, 1), 4)]
-    argv = [command, "--n", str(n), "--format", draw(st.sampled_from(["json", "ascii"]))]
+    argv = [command, "--n", str(n)]
+    if command in ("double", "enum", "phi", "psi"):
+        argv += ["--format", draw(st.sampled_from(["json", "ascii"]))]
     if command in ("check", "enum"):
         argv += ["--predicate", draw(PREDICATE)]
     if command == "enum":
@@ -436,7 +497,8 @@ def requests(draw):
                 t["inner"] = [1] + [0] * (len(t["columns"]) - 1)
             choices += [st.just(json.dumps(t))] * 3
     stdin = draw(draw(st.sampled_from(choices)))
-    return argv, stdin, draw(st.sampled_from([None, None, None, "missing", "directory", "file"]))
+    sources = [None] if command == "enum" else [None, None, None, "missing", "directory", "file"]
+    return argv, stdin, draw(st.sampled_from(sources))
 
 
 def run_main(argv, stdin):

@@ -56,8 +56,8 @@ def test_dble_golden_sp8():
     assert (sorted(d.I), sorted(d.J)) == ([1], [3])
     assert sorted(d.B) == [2, 3] and sorted(d.C) == [3]
     # left column 1,2,3' and right column 2,3,1' (codes: 3'->6, 1'->8)
-    assert d.left_codes() == (1, 2, 6)
-    assert d.right_codes() == (2, 3, 8)
+    assert d.left == (1, 2, 6)
+    assert d.right == (2, 3, 8)
 
 
 def test_dble_golden_rank9():
@@ -71,7 +71,7 @@ def test_dble_golden_rank3():
     d = dble(col(3, {1, 2}, {2}))
     assert (sorted(d.I), sorted(d.J)) == ([2], [3])
     assert sorted(d.B) == [1, 3] and sorted(d.C) == [3]
-    assert d.left_codes() == (1, 2, 4) and d.right_codes() == (1, 3, 5)
+    assert d.left == (1, 2, 4) and d.right == (1, 3, 5)
 
 
 def test_dble_rejects_inadmissible():
@@ -84,7 +84,7 @@ def test_dble_is_semistandard_pair():
     for n in (2, 3, 4):
         for c in admissible_columns(n):
             d = dble(c)
-            left, right = d.left_codes(), d.right_codes()
+            left, right = d.left, d.right
             assert list(left) == sorted(set(left))
             assert list(right) == sorted(set(right))
             assert all(a <= b for a, b in zip(left, right))

@@ -391,8 +391,10 @@ def test_parse_rejects_an_unknown_kind():
         (lambda: Tableau.sl(3, [[1, "a"]]), r"column 1 has entries outside \[1, 3\]"),
         (lambda: Tableau.sl(3, [[1], [1.5]]), r"column 2 has entries outside \[1, 3\]"),
         (lambda: Tableau.sp(3, [[1, "a"]]), r"column 1: codes must be strictly increasing within \[1, 6\]"),
+        # the codes were judged first, within the empty range [1, 0]
+        (lambda: Tableau.sp(0, [(1,)]), "rank must be positive, got 0"),
     ],
-    ids=["sp-tuple", "sp-int", "sl-int", "sl-str", "sl-float", "sp-codes-str"],
+    ids=["sp-tuple", "sp-int", "sl-int", "sl-str", "sl-float", "sp-codes-str", "sp-rank-first"],
 )
 def test_malformed_columns_raise_tableau_errors(build, message):
     with pytest.raises(TableauError, match=f"^{message}$"):

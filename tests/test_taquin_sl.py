@@ -66,7 +66,7 @@ def test_lone_star_sheds_immediately():
     state = skew(3, (0, (), 1))
     rest, path = jdt_to_rest(state)
     assert path == [(1, 1)]
-    assert shed(rest).heights == (0,)
+    assert tuple(c.height for c in shed(rest).columns) == (0,)
 
 
 def test_sigma_golden_display():

@@ -121,7 +121,7 @@ def test_lone_star_sheds():
     state = skew(3, (0, F(), F(), 1))
     rest, path = sjdt_to_rest(state)
     assert path == [(1, 1)]
-    assert shed(rest).heights == (0,)
+    assert tuple(c.height for c in shed(rest).columns) == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,7 @@ def test_psi_golden_inverse_trace():
         (0, F(), F({1, 2, 3, 4})),
     )
     # after the first star exits, the rightmost column has shed one cell
-    assert record[5].heights == (4, 4, 4, 4, 3)
+    assert tuple(c.height for c in record[5].columns) == (4, 4, 4, 4, 3)
 
 
 def test_psi_star_paths_golden():
@@ -688,9 +688,9 @@ def test_column_without_a_double_raises_on_every_grid_call():
 # ---------------------------------------------------------------------------
 # every trap of the reduction pass and the inverse, each fired by a fault
 
-# the engine's own move and plan, and the model's trivial column, which the
-# faults below wrap
-MOVE, PLAN, TRIVIAL = taquin_sl._move, taquin_sl._plan, SpSkewColumn.trivial
+# the engine's own move, plan and star step, and the model's trivial column,
+# which the faults below wrap
+MOVE, PLAN, STAR_STEP, TRIVIAL = taquin_sl._move, taquin_sl._plan, taquin_sl._slide_star, SpSkewColumn.trivial
 
 
 def zeroed(c):
@@ -702,6 +702,11 @@ def bar_swapped(c):
     return SpSkewColumn(c.n, c.inner, c.D, c.A, c.star_row)
 
 
+def shortened(c):
+    """Column c, in its frame, holding the letters 1, 2, ... of one cell fewer."""
+    return SpSkewColumn(c.n, c.inner, F(range(1, c.size)), F(), c.star_row)
+
+
 def shed_changing(last, change):
     """A shed that also applies `change` to the first column, or to the last."""
 
@@ -709,6 +714,20 @@ def shed_changing(last, change):
         out = shed(state)
         k = len(out.columns) if last else 1
         return out._with(k, (change(out.columns[k - 1]),), None)
+
+    return faulty
+
+
+def last_star_changing(change):
+    """The star step; after the inverse's last star, star 1, it also applies
+    `change` to the second column of the turned frame (the first sets the
+    frame's height), which is the tableau's last column but one."""
+
+    def faulty(cls, n, cols, row, col, to_rest, star, during):
+        state, last = STAR_STEP(cls, n, cols, row, col, to_rest, star, during)
+        if star == "star 1":
+            state = state._with(2, (change(state.columns[1]),), None)
+        return state, last
 
     return faulty
 
@@ -779,6 +798,14 @@ SLIDE_TRAPS = {
     "inverse-bottom": (
         "psi", "column 1 is not a trivial bottom", {"shed": shed_changing(True, bar_swapped), **UNCHECKED}
     ),
+    "inverse-residual": (
+        "psi",
+        "residual vacated or star cell beyond the first 2 columns",
+        {"_slide_star": last_star_changing(shortened)},
+    ),
+    "inverse-straight-zero": (
+        "psi", "extended letter 0 survived the slides", {"_slide_star": last_star_changing(zeroed)}
+    ),
 }
 
 
@@ -839,8 +866,9 @@ def test_each_trap_is_raised_once_and_fired_by_a_fault():
     for function, pattern in sites:
         commands = {command for command, message in fired if pattern.fullmatch(message)}
         assert commands, f"no fault fires the trap {pattern.pattern!r} in {function}"
-        if function == "_slide_star" or pattern.fullmatch("column 1 is not a trivial bottom"):
+        if function in ("_slide_star", "_straight"):
             both.append(commands)
-    # the star step (inner corner, row, letter 0) and the lead-column rule
-    # serve the pass and the inverse, and a fault fires each through both
-    assert both == [{"phi", "psi"}] * 4
+    # the star step (inner corner, row, letter 0) and the strip (lead
+    # columns, residual cells, letter 0) serve the pass and the inverse, and
+    # a fault fires each through both
+    assert both == [{"phi", "psi"}] * 6
