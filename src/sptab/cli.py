@@ -57,8 +57,7 @@ def _tableau(args, data):
 
 
 def cmd_double(args) -> int:
-    from .letters import from_code, letter_to_json
-    from .tableaux import dble_tableau, render_grid
+    from .tableaux import _json_columns, dble_tableau, render_grid
 
     t = _tableau(args, _read_input(args))
     if t.kind != "sp":
@@ -67,19 +66,17 @@ def cmd_double(args) -> int:
     if args.format == "ascii":
         print(render_grid(grid, t.n))
     else:
-        cols = [[letter_to_json(from_code(c, t.n)) for c in col] for col in grid]
-        _emit({"n": t.n, "kind": "double", "columns": cols})
+        _emit({"n": t.n, "kind": "double", "columns": _json_columns(grid, t.n)})
     return 0
 
 
 def cmd_check(args) -> int:
     from .columns import is_admissible
-    from .letters import letter_from_json
-    from .tableaux import _from_letters, check_kind, dble_tableau, first_grid_violation, nqs_rows
+    from .tableaux import _from_letters, _json_letters, check_kind, dble_tableau, first_grid_violation, nqs_rows
 
     data = _read_input(args)
     if args.predicate == "admissible" and isinstance(data, list):
-        col = _from_letters([[letter_from_json(v) for v in data]], args.n, "sp").columns[0]
+        col = _from_letters(_json_letters([data]), args.n, "sp").columns[0]
         _emit({"result": is_admissible(col), "violation": None})
         return 0
     t = _tableau(args, data)
@@ -185,7 +182,8 @@ def _emit_result(args, out: dict, result, record: list | None) -> int:
 
 
 def cmd_sjdt(args) -> int:
-    from .letters import _is_int, code, letter_from_json
+    from .letters import _is_int, code
+    from .tableaux import _json_letters
     from .taquin_sp import SpSkewColumn, SpSkewTableau, is_semistandard_skew_sp, shed, sjdt_to_rest
     from .taquin_sp import state_to_json, trace_to_json
 
@@ -196,19 +194,17 @@ def cmd_sjdt(args) -> int:
     if not _is_int(n):
         raise ParseError(f"unreadable rank {n!r}")
     _match_rank(args, n)
-    raw_cols = data["columns"]
-    if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
-        raise ParseError("sjdt columns must be a list of lists")
-    inner = data.get("inner", [0] * len(raw_cols))
-    if not isinstance(inner, list) or len(inner) != len(raw_cols) or not all(_is_int(v) for v in inner):
-        raise ParseError(f"sjdt inner must be a list of {len(raw_cols)} integers, one per column")
+    columns = _json_letters(data["columns"])
+    inner = data.get("inner", [0] * len(columns))
+    if not isinstance(inner, list) or len(inner) != len(columns) or not all(_is_int(v) for v in inner):
+        raise ParseError(f"sjdt inner must be a list of {len(columns)} integers, one per column")
     star = _parse_ints(args.star, "star")
     if len(star) != 2:
         raise SptabError(f"unreadable star {args.star!r}")
     row, col = star
     # the star sits on the bottom vacated cell of its column, at an inner corner
-    if not 1 <= col <= len(raw_cols):
-        raise SptabError(f"star column {col} outside [1, {len(raw_cols)}]")
+    if not 1 <= col <= len(columns):
+        raise SptabError(f"star column {col} outside [1, {len(columns)}]")
     inn = inner[col - 1]
     if inn < 1:
         raise SptabError(f"star column {col} has no vacated cell (inner={inn})")
@@ -217,13 +213,13 @@ def cmd_sjdt(args) -> int:
     if col < len(inner) and inner[col] >= row:
         raise SptabError(f"star {row},{col} is not at an inner corner: cell {row},{col + 1} is vacated")
     cols = []
-    for j, raw in enumerate(raw_cols, start=1):
-        letters = [letter_from_json(v) for v in raw if v is not None]
+    for j, letters in enumerate(columns, start=1):
+        # codes first, naming a letter above the rank by magnitude; they must be the column's: sorted, each once
+        codes = tuple(code(l, n) for l in letters)
         A = frozenset(l.magnitude for l in letters if not l.barred)
         D = frozenset(l.magnitude for l in letters if l.barred)
         c = SpSkewColumn(n, row - 1, A, D, row) if j == col else SpSkewColumn(n, inner[j - 1], A, D)
-        # the letters, as codes, are the column's: in alphabet order, each once
-        if tuple(code(l, n) for l in letters) != c.content.codes():
+        if codes != c.content.codes():
             raise SptabError(f"column {j}: letters must strictly increase in alphabet order")
         cols.append(c)
     state = SpSkewTableau(n, tuple(cols))

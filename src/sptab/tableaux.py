@@ -33,7 +33,7 @@ from operator import attrgetter
 
 from ._record import Record, _set
 from .columns import SymplecticColumn, _double as _column_double, dble
-from .errors import ParseError, ShapeError, TableauError
+from .errors import LetterError, ParseError, ShapeError, TableauError
 from .letters import (
     Letter,
     _is_int,
@@ -497,7 +497,7 @@ def parse(text: str, n: int, kind: str) -> Tableau:
         cells = [line[k : k + CELL_WIDTH].strip() for k in range(0, len(line), CELL_WIDTH)]
         try:
             rows.append([parse_letter(c) for c in cells if c])
-        except Exception as exc:
+        except LetterError as exc:
             raise ParseError(f"unreadable row {line!r}: {exc}") from exc
     return _from_rows(rows, n, kind)
 
@@ -527,34 +527,38 @@ def _from_letters(columns: list[list[Letter]], n: int, kind: str) -> Tableau:
         raise ParseError(str(exc)) from exc
 
 
-def tableau_to_json(t: Tableau) -> dict:
+def _json_columns(grid: Grid, n: int) -> list[list[int | str]]:
+    return [[letter_to_json(from_code(c, n)) for c in col] for col in grid]
+
+
+def _json_letters(raw_cols: object) -> list[list[Letter]]:
+    """The letters of JSON columns, a list of lists; a value that is no letter, a null too, raises with its column."""
+    if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
+        raise ParseError("tableau JSON columns must be a list of lists")
     cols = []
-    for codes in t.grid():
-        cols.append([letter_to_json(from_code(c, t.n)) for c in codes])
-    return {"n": t.n, "kind": t.kind, "columns": cols}
+    for j, raw in enumerate(raw_cols, start=1):
+        try:
+            cols.append([letter_from_json(v) for v in raw])
+        except LetterError as exc:
+            raise ParseError(f"column {j}: {exc}") from exc
+    return cols
+
+
+def tableau_to_json(t: Tableau) -> dict:
+    return {"n": t.n, "kind": t.kind, "columns": _json_columns(t.grid(), t.n)}
 
 
 def tableau_from_json(data: object) -> Tableau:
     if not isinstance(data, dict):
         raise ParseError("tableau JSON must be an object")
     try:
-        n = data["n"]
-        kind = data["kind"]
-        raw_cols = data["columns"]
+        n, kind, raw_cols = data["n"], data["kind"], data["columns"]
     except KeyError as exc:
         raise ParseError(f"tableau JSON missing fields: {exc}") from exc
     if not _is_int(n):
         raise ParseError(f"tableau rank must be an integer, got {n!r}")
     _known_kind(kind, ParseError)
-    if not isinstance(raw_cols, list) or not all(isinstance(raw, list) for raw in raw_cols):
-        raise ParseError("tableau JSON columns must be a list of lists")
-    cols = []
-    for j, raw in enumerate(raw_cols):
-        try:
-            cols.append([letter_from_json(v) for v in raw])
-        except Exception as exc:
-            raise ParseError(f"column {j + 1}: {exc}") from exc
-    return _from_letters(cols, n, kind)
+    return _from_letters(_json_letters(raw_cols), n, kind)
 
 
 def dumps(obj: object) -> str:

@@ -281,6 +281,34 @@ def test_sjdt_rejects_letter_above_rank():
     assert_input_error(run_cli(["sjdt", "--n", "3", "--star", "1,1"], '{"n": 3, "columns": [[5]], "inner": [1]}'))
 
 
+NULL = "column 1: unreadable letter value None"
+ABOVE = "magnitude 5 exceeds rank 3"
+RAGGED = "tableau JSON columns must be a list of lists"
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        # sjdt used to drop the null and slide the column [2, 3]
+        (["sjdt", "--n", "3", "--star", "1,1"], '{"n":3,"columns":[[2,null,3]],"inner":[1]}', NULL),
+        (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[2,null,3]]}', NULL),
+        (["check", "--n", "3", "--predicate", "admissible"], "[2,null,3]", NULL),
+        # sjdt used to name the letter by a set: "A contains 5, outside [0, 3]"
+        (["sjdt", "--n", "3", "--star", "1,1"], '{"n":3,"columns":[[5]],"inner":[1]}', ABOVE),
+        (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[5]]}', ABOVE),
+        (["check", "--n", "3", "--predicate", "admissible"], "[5]", ABOVE),
+        # sjdt used to say "sjdt columns must be a list of lists"
+        (["sjdt", "--n", "3", "--star", "1,1"], '{"n":3,"columns":[[1],2],"inner":[1,0]}', RAGGED),
+        (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[1],2]}', RAGGED),
+    ],
+    ids=[f"{command}-{fault}" for fault in ("null", "above") for command in ("sjdt", "double", "check")]
+    + ["sjdt-ragged", "double-ragged"],
+)
+def test_every_json_reader_gives_one_message_per_fault(argv, stdin, message):
+    # a null is never a letter, and a letter above the rank is named by its magnitude
+    assert run_main(argv, stdin) == (1, f"error: {message}\n")
+
+
 def test_sjdt_rejects_a_column_without_a_double():
     # the slide of the first input never reads the double of [1,2,2']
     for n, skew, column in (
