@@ -115,27 +115,25 @@ def _parse_ints(text: str, what: str = "shape") -> tuple[int, ...]:
 
 
 def cmd_enum(args) -> int:
-    from .enumeration import _admissible_count, enum_admissible_columns, enum_qs_sl, enum_qs_sp, enum_ss_sl, enum_ss_sp
-    from .tableaux import Tableau, render, tableau_to_json
+    from .enumeration import _admissible_count, enum_qs_sl, enum_qs_sp, enum_ss_sl, enum_ss_sp
+    from .tableaux import render, tableau_to_json
 
     shape = _parse_ints(args.shape)
     if args.predicate == "admissible":
+        # the one-column tableaux of a height are its admissible columns
         if len(shape) != 1:
             raise SptabError("admissible enumeration takes a single height")
         if args.count:
             _emit({"count": _admissible_count(args.n, shape[0])})
             return 0
-        items = [
-            Tableau(args.n, "sp", (c,)) for c in enum_admissible_columns(args.n, shape[0])
-        ]
-    else:
-        fn = {
-            "ss-sp": enum_ss_sp,
-            "qs-sp": enum_qs_sp,
-            "ss-sl": enum_ss_sl,
-            "qs-sl": enum_qs_sl,
-        }[args.predicate]
-        items = fn(args.n, shape)
+    fn = {
+        "admissible": enum_ss_sp,
+        "ss-sp": enum_ss_sp,
+        "qs-sp": enum_qs_sp,
+        "ss-sl": enum_ss_sl,
+        "qs-sl": enum_qs_sl,
+    }[args.predicate]
+    items = fn(args.n, shape)
     if args.count:
         _emit({"count": len(items)})
         return 0
@@ -182,6 +180,7 @@ def _emit_result(args, out: dict, result, record: list | None) -> int:
 
 
 def cmd_sjdt(args) -> int:
+    from .columns import _sets
     from .letters import _is_int, code
     from .tableaux import _json_letters
     from .taquin_sp import SpSkewColumn, SpSkewTableau, is_semistandard_skew_sp, shed, sjdt_to_rest
@@ -216,8 +215,7 @@ def cmd_sjdt(args) -> int:
     for j, letters in enumerate(columns, start=1):
         # codes first, naming a letter above the rank by magnitude; they must be the column's: sorted, each once
         codes = tuple(code(l, n) for l in letters)
-        A = frozenset(l.magnitude for l in letters if not l.barred)
-        D = frozenset(l.magnitude for l in letters if l.barred)
+        A, D = _sets(n, codes)
         c = SpSkewColumn(n, row - 1, A, D, row) if j == col else SpSkewColumn(n, inner[j - 1], A, D)
         if codes != c.content.codes():
             raise SptabError(f"column {j}: letters must strictly increase in alphabet order")
@@ -243,7 +241,7 @@ def cmd_sjdt(args) -> int:
 
 def _check_verify_rank(args) -> None:
     if args.n < 1:
-        raise SptabError(f"rank must be positive, got --n {args.n}")
+        raise SptabError(f"rank must be positive, got {args.n}")
 
 
 def _kernel_formula(n: int, k: int) -> int:

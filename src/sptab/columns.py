@@ -51,6 +51,17 @@ def _codes(n: int, A, D) -> tuple[int, ...]:
     return tuple(sorted(A) + sorted(bar - d for d in D))
 
 
+def _sets(n: int, codes) -> tuple[frozenset[int], frozenset[int]]:
+    """(A, D) of the letter codes of a column, the inverse of `_codes`."""
+    bar, A, D = 2 * n + 1, [], []
+    for c in codes:
+        if c <= n:
+            A.append(c)
+        else:
+            D.append(bar - c)
+    return frozenset(A), frozenset(D)
+
+
 class SymplecticColumn(Identified):
     """Column content (A, D) for rank n, with its height and id stored when
     built; magnitude 0 only inside slides."""

@@ -54,8 +54,7 @@ def _admissible_sets(n: int, k: int):
     in candidate order: the witness search runs on each candidate, and no
     column is built.  Rank and height are checked before it returns."""
     check_rank(n)
-    if not 1 <= k <= n:
-        raise ShapeError(f"height {k} outside [1, {n}]")
+    check_shape((k,), n)
     universe = range(1, n + 1)
     return (
         (A, D)

@@ -32,7 +32,7 @@ from itertools import product
 from operator import attrgetter
 
 from ._record import Record, _set
-from .columns import SymplecticColumn, _double as _column_double, dble
+from .columns import SymplecticColumn, _double as _column_double, _sets as _column_sets, dble
 from .errors import LetterError, ParseError, ShapeError, TableauError
 from .letters import (
     Letter,
@@ -250,26 +250,20 @@ class Tableau(Record):
 
     @staticmethod
     def sp(n: int, columns) -> "Tableau":
-        """Build from SymplecticColumn objects or top-down letter-code tuples."""
+        """Build from SymplecticColumn objects or top-down letter-code tuples.
+        The extended codes 0 and 2n+1 pass the order check, so that the
+        column check names the extended letter, as it does for a built column."""
         check_rank(n)
         cols = []
         for j, c in enumerate(columns):
-            if isinstance(c, SymplecticColumn):
-                cols.append(c)
-                continue
-            A, D = set(), set()
-            prev = 0
-            for cd in c:
-                if type(cd) is not int or not prev < cd <= 2 * n:
-                    raise TableauError(
-                        f"column {j + 1}: codes must be strictly increasing within [1, {2 * n}]"
-                    )
-                prev = cd
-                if cd <= n:
-                    A.add(cd)
-                else:
-                    D.add(2 * n + 1 - cd)
-            cols.append(SymplecticColumn(n, frozenset(A), frozenset(D)))
+            if not isinstance(c, SymplecticColumn):
+                c, prev = tuple(c), -1
+                for cd in c:
+                    if type(cd) is not int or not prev < cd <= 2 * n + 1:
+                        raise TableauError(f"column {j + 1}: codes must be strictly increasing within [1, {2 * n}]")
+                    prev = cd
+                c = SymplecticColumn(n, *_column_sets(n, c))
+            cols.append(c)
         return Tableau(n, "sp", tuple(cols))
 
     @_memo
@@ -284,9 +278,6 @@ class Tableau(Record):
     @property
     def shape(self) -> tuple[int, ...]:
         return self.heights
-
-    def form(self) -> tuple[int, ...]:
-        return shape_to_multiplicities(self.heights, self.hmax)
 
     def grid(self) -> Grid:
         """Letter codes column by column (for sp, the visible letters)."""
@@ -513,17 +504,18 @@ def _from_rows(rows: list[list[Letter]], n: int, kind: str) -> Tableau:
 
 
 def _from_letters(columns: list[list[Letter]], n: int, kind: str) -> Tableau:
-    """The tableau with these letter columns; a malformed one is a ParseError,
-    the rank checked before the letters."""
+    """The tableau with these letter columns, each letter read by its code in
+    either alphabet; a malformed one is a ParseError, the rank checked before
+    the letters and the letters before the shape."""
     try:
         check_rank(n)
         if kind == "sl":
             for j, col in enumerate(columns):
                 if any(l.barred for l in col):
                     raise ParseError(f"column {j + 1}: barred letter in a plain-letter tableau")
-            return Tableau.sl(n, tuple(tuple(l.magnitude for l in col) for col in columns))
-        return Tableau.sp(n, tuple(tuple(letter_code(l, n) for l in col) for col in columns))
-    except (TableauError, ShapeError) as exc:
+        grid = tuple(tuple(letter_code(l, n) for l in col) for col in columns)
+        return Tableau.sl(n, grid) if kind == "sl" else Tableau.sp(n, grid)
+    except (LetterError, TableauError, ShapeError) as exc:
         raise ParseError(str(exc)) from exc
 
 

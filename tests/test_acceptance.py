@@ -27,6 +27,7 @@ from sptab.tableaux import (
     nqs_with_height,
     parse,
     render,
+    shape_to_multiplicities,
     tableau_from_json,
     tableau_to_json,
     weight_subshapes,
@@ -187,7 +188,7 @@ def test_criterion_4_golden_bijection():
     ok = (
         passes == expected_passes
         and mu == (4,)
-        and q.form() == (0, 0, 0, 1)
+        and shape_to_multiplicities(q.shape, 4) == (0, 0, 0, 1)
         and q == Tableau.sp(4, [(1, 6, 7, 8)])
         and back == T
         and star_path

@@ -284,6 +284,7 @@ def test_sjdt_rejects_letter_above_rank():
 NULL = "column 1: unreadable letter value None"
 ABOVE = "magnitude 5 exceeds rank 3"
 RAGGED = "tableau JSON columns must be a list of lists"
+EXTENDED = "column 1 contains the extended letter 0"
 
 
 @pytest.mark.parametrize(
@@ -300,12 +301,58 @@ RAGGED = "tableau JSON columns must be a list of lists"
         # sjdt used to say "sjdt columns must be a list of lists"
         (["sjdt", "--n", "3", "--star", "1,1"], '{"n":3,"columns":[[1],2],"inner":[1,0]}', RAGGED),
         (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[1],2]}', RAGGED),
+        # used to say "column 1 has entries outside [1, 3]"
+        (["check", "--n", "3", "--predicate", "ss-sl"], '{"n":3,"kind":"sl","columns":[[5]]}', ABOVE),
+        # both used to say "column 1: codes must be strictly increasing within [1, 6]"
+        (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[1,"-0"]]}', EXTENDED),
+        (["double", "--n", "3"], '{"n":3,"kind":"sp","columns":[[0]]}', EXTENDED),
     ],
     ids=[f"{command}-{fault}" for fault in ("null", "above") for command in ("sjdt", "double", "check")]
-    + ["sjdt-ragged", "double-ragged"],
+    + ["sjdt-ragged", "double-ragged", "check-plain-above", "double-zero-bar", "double-zero"],
 )
 def test_every_json_reader_gives_one_message_per_fault(argv, stdin, message):
-    # a null is never a letter, and a letter above the rank is named by its magnitude
+    # a null is never a letter, a letter above the rank is named by its
+    # magnitude in both alphabets, and an extended letter however it is written
+    assert run_main(argv, stdin) == (1, f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        # both used to say "height 4 outside [1, 3]" and "height 0 outside [1, 3]"
+        (
+            ["enum", "--n", "3", "--shape", "4", "--predicate", "admissible", "--count"],
+            "",
+            "height 4 exceeds the maximum 3",
+        ),
+        (
+            ["enum", "--n", "3", "--shape", "0", "--predicate", "admissible"],
+            "",
+            "heights (0,) contain a non-positive entry",
+        ),
+        # used to say "rank must be positive, got --n 0"
+        (["verify", "plucker", "--n", "0", "--k", "2"], "", "rank must be positive, got 0"),
+        (["enum", "--n", "3", "--shape", "a", "--predicate", "ss-sp"], "", "unreadable shape 'a'"),
+        (["sjdt", "--n", "3", "--star", "1,1"], '{"n":"3","columns":[[1]],"inner":[1]}', "unreadable rank '3'"),
+        (
+            ["sjdt", "--n", "3", "--star", "2,1"],
+            '{"n":3,"columns":[[2]],"inner":[1]}',
+            "star row 2 must be the bottom vacated cell (inner=1)",
+        ),
+        (["verify", "dims", "--n", "3", "--max-k", "1"], "", "--max-k and --n must be at least 2, got 1 and 3"),
+        (["verify", "plucker", "--n", "3", "--k", "5"], "", "degree 5 outside [2, 3]"),
+        (
+            ["enum", "--n", "3", "--shape", "2,1", "--predicate", "admissible"],
+            "",
+            "admissible enumeration takes a single height",
+        ),
+    ],
+    ids=[
+        "admissible-tall", "admissible-zero", "verify-rank", "enum-shape", "sjdt-rank", "sjdt-star-row",
+        "dims-max-k", "plucker-degree", "admissible-shape",
+    ],
+)
+def test_refusals_name_their_fault(argv, stdin, message):
     assert run_main(argv, stdin) == (1, f"error: {message}\n")
 
 
@@ -529,7 +576,8 @@ def requests(draw):
     return argv, stdin, draw(st.sampled_from(sources))
 
 
-def run_main(argv, stdin):
+def run_main_output(argv, stdin):
+    """Exit code, stdout and stderr of main run in process on this stdin."""
     out, err, saved = io.StringIO(), io.StringIO(), sys.stdin
     sys.stdin = io.StringIO(stdin)
     try:
@@ -537,7 +585,12 @@ def run_main(argv, stdin):
             code = main(argv)
     finally:
         sys.stdin = saved
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_main(argv, stdin):
+    code, _, err = run_main_output(argv, stdin)
+    return code, err
 
 
 @settings(max_examples=400, deadline=None)
@@ -555,3 +608,51 @@ def test_main_fuzz_exits_cleanly(request):
     if code == 1:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, stdin, err)
+
+
+# every value a JSON letter can hold, well-formed or not
+ANY_LETTER = (
+    st.integers(-4, 4)
+    | st.just("-0")
+    | st.fixed_dictionaries({"m": st.integers(-1, 4) | st.none(), "b": st.booleans() | st.none()})
+    | st.none()
+    | st.sampled_from([0.0, 1.5, -2.0])
+    | st.sampled_from(["", "1", "x", "2'"])
+)
+
+
+@st.composite
+def reader_requests(draw):
+    """A command that reads a tableau, on a JSON object whose rank, kind,
+    letters and (for sjdt) inner heights may each be malformed."""
+    command = draw(st.sampled_from(["double", "check", "phi", "psi", "sjdt"]))
+    rank = draw(st.sampled_from([-1, 0, 2, 3, "3", None]))
+    argv = [command, "--n", str(rank) if type(rank) is int else "3"]
+    if command == "check":
+        argv += ["--predicate", draw(PREDICATE)]
+    if command == "psi":
+        argv += ["--target-shape", "3,2"]
+    if command == "sjdt":
+        argv += ["--star", draw(st.sampled_from(["1,1", "1,2", "2,1"]))]
+    # distinct signed integers in alphabet order (0 among them), or anything
+    top = rank if type(rank) is int and rank > 0 else 3
+    ordered = st.lists(st.integers(-top, top), unique=True, max_size=3).map(
+        lambda col: sorted(col, key=lambda v: v if v >= 0 else 2 * top + 1 + v)
+    )
+    columns = draw(st.lists(ordered | st.lists(ANY_LETTER, max_size=3), max_size=3))
+    data = {"n": rank, "kind": draw(st.sampled_from(["sp", "sl", "x", None])), "columns": columns}
+    if command == "sjdt":
+        size = st.just(len(columns)) | st.integers(0, 3)
+        data["inner"] = draw(size.flatmap(lambda k: st.lists(st.integers(-1, 2), min_size=k, max_size=k)))
+    return argv, json.dumps(data)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(request=reader_requests())
+def test_every_reader_refuses_any_letters_with_one_error_line(request):
+    # exit 3 is for a trap of the slides alone, never for bad input
+    argv, stdin = request
+    code, out, err = run_main_output(argv, stdin)
+    assert code in (0, 1), (argv, stdin, err)
+    if code == 1:
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error:"), (argv, stdin, out, err)

@@ -41,7 +41,7 @@ def test_admissible_count_equals_the_enumeration_and_the_formula():
         for k in range(1, n + 1):
             formula = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
             assert enumeration._admissible_count(n, k) == len(enum_admissible_columns(n, k)) == formula, (n, k)
-    with pytest.raises(ShapeError, match=r"^height 4 outside \[1, 3\]$"):
+    with pytest.raises(ShapeError, match=r"^height 4 exceeds the maximum 3$"):
         enumeration._admissible_count(3, 4)
 
 

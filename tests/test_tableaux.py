@@ -391,14 +391,33 @@ def test_parse_rejects_an_unknown_kind():
         (lambda: Tableau.sl(3, [[1, "a"]]), r"column 1 has entries outside \[1, 3\]"),
         (lambda: Tableau.sl(3, [[1], [1.5]]), r"column 2 has entries outside \[1, 3\]"),
         (lambda: Tableau.sp(3, [[1, "a"]]), r"column 1: codes must be strictly increasing within \[1, 6\]"),
+        (lambda: Tableau.sp(3, [[1, 8]]), r"column 1: codes must be strictly increasing within \[1, 6\]"),
+        # the extended codes 0 and 2n+1 were blamed on the order, as above
+        (lambda: Tableau.sp(3, [[0, 1]]), "column 1 contains the extended letter 0"),
+        (lambda: Tableau.sp(3, [[1, 2], [7]]), "column 2 contains the extended letter 0"),
         # the codes were judged first, within the empty range [1, 0]
         (lambda: Tableau.sp(0, [(1,)]), "rank must be positive, got 0"),
     ],
-    ids=["sp-tuple", "sp-int", "sl-int", "sl-str", "sl-float", "sp-codes-str", "sp-rank-first"],
+    ids=[
+        "sp-tuple", "sp-int", "sl-int", "sl-str", "sl-float", "sp-codes-str", "sp-code-above",
+        "sp-code-zero", "sp-code-zero-bar", "sp-rank-first",
+    ],
 )
 def test_malformed_columns_raise_tableau_errors(build, message):
     with pytest.raises(TableauError, match=f"^{message}$"):
         build()
+
+
+def test_a_letter_above_the_rank_is_named_before_the_shape_in_both_alphabets():
+    # a plain letter used to be judged by a range after the shape, as in
+    # "column 1 has entries outside [1, 3]" or "height 3 exceeds the maximum 2",
+    # and a symplectic one escaped as a LetterError
+    for kind in ("sl", "sp"):
+        with pytest.raises(ParseError, match="^magnitude 5 exceeds rank 3$"):
+            parse("5", 3, kind)
+        for columns in ([[5]], [[1, 2, 5]], [[1, 2, 3, 5]]):
+            with pytest.raises(ParseError, match="^magnitude 5 exceeds rank 3$"):
+                tableau_from_json({"n": 3, "kind": kind, "columns": columns})
 
 
 def test_parse_rejects_a_row_longer_than_the_row_above():
